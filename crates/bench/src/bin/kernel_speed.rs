@@ -1,10 +1,12 @@
 //! Kernel-backend speed benchmark: times the scalar reference kernels
 //! against the portable tiled fast paths (`RAPID_SIMD=off`) and the
 //! vector / bit-sliced backends (`RAPID_SIMD=force`) on the canonical
-//! 128³ GEMM shape (chunk 64) plus a representative convolution, checks
-//! every fast output bit-for-bit against its scalar reference, and
-//! records `<group>.speedup_vs_scalar` — the ratios `repro_all` gates
-//! against regressions between runs.
+//! 128³ GEMM shape (chunk 64), a representative convolution and the two
+//! paper GEMVs (an LSTM-step INT4 projection and ResNet-50's FP16 FC,
+//! which take the row-streaming path with its portable and AVX2 inner
+//! loops), checks every fast output bit-for-bit against its scalar
+//! reference, and records `<group>.speedup_vs_scalar` — the ratios
+//! `repro_all` gates against regressions between runs.
 //!
 //! Runs single-threaded by default (set `RAPID_THREADS` to override):
 //! the metric is per-kernel speedup, not machine throughput, and thread
@@ -236,6 +238,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     ];
     for g in &conv_groups {
+        g.report(&mut rec);
+    }
+
+    // m = 1 GEMVs take the row-streaming path under every RAPID_SIMD
+    // value; off/force pick its portable or AVX2 inner loop.
+    let ((ik, in_), (fk, fn_)) =
+        if smoke { ((300, 1200), (512, 250)) } else { ((1500, 6000), (2048, 1000)) };
+    section(&format!(
+        "GEMV 1×{ik}×{in_} INT4 and 1×{fk}×{fn_} FP16, chunk {CHUNK} (best of {reps})"
+    ));
+    let gemv_groups = [
+        int_group(
+            "gemv_int4",
+            IntFormat::Int4,
+            &filled(vec![1, ik], 0x5851_F42D),
+            &filled(vec![ik, in_], 0x4C95_7F2D),
+            reps,
+        )?,
+        float_group(
+            "gemv_fp16",
+            FmaMode::Fp16,
+            &filled(vec![1, fk], 0x2545_F491),
+            &filled(vec![fk, fn_], 0x9E6C_63D0),
+            reps,
+        )?,
+    ];
+    for g in &gemv_groups {
         g.report(&mut rec);
     }
 

@@ -11,6 +11,16 @@
 //! * capability detection — the float and INT4 vector kernels need AVX2
 //!   (`x86_64` only, checked at runtime); the bit-sliced INT2 kernel is
 //!   portable `u64` popcount code and only obeys the knob and size gate;
+//! * shape first: a matmul with at most [`GEMV_MAX_M`] rows of A takes
+//!   the row-streaming GEMV path (`numerics::gemv`) whatever the knob says
+//!   (only an INT matmul whose chunk length makes INT16 saturation
+//!   possible keeps the saturating scalar accumulator). There
+//!   `RAPID_SIMD` picks the inner loop, not the layout:
+//!   `auto` and `force` run the AVX2 clone of the row kernel when the CPU
+//!   has AVX2, `off` the portable one. The INT quantizer follows the same
+//!   rule (`simd_inner`). That path keeps no zero masks: row `i` gates
+//!   `n · zeros(a_i) + Σ_{p : a[i,p] ≠ 0} zeros(B_p)` MACs, the popcount
+//!   of the unioned masks, so `GemmStats` are unchanged;
 //! * bit-exactness is *not* a selection concern: every backend reproduces
 //!   the scalar references bit-for-bit (`tests/fastpath_bitexact.rs` runs
 //!   the whole suite under `force` and `off`), so selection is purely a
@@ -97,6 +107,31 @@ pub(crate) const AUTO_MIN_MACS: u64 = 4096;
 /// layer; the bound is conservative by ~3 decimal orders.
 pub(crate) const MADD_MAX_K: usize = 1 << 24;
 
+/// Largest row count of A for which a matmul takes the row-streaming GEMV
+/// path (`numerics::gemv`), at every precision and under every `RAPID_SIMD`
+/// value. Chosen from measurement: whole `matmul_*_with_simd` calls,
+/// best of 5, one thread, AVX2 Xeon, m ∈ {1, 8, 16, 32} with each path
+/// forced. Row-streaming won every shape up to m = 8 (m = 8: INT4
+/// 1500×6000 22 vs 56 ms, FP16 2048×1000 18 vs 43 ms, HFP8 784×512 6.3
+/// vs 6.7 ms, INT2 512×512 0.40 vs 1.7 ms). At m = 16 HFP8 784×512 was
+/// within run-to-run noise (8.5 vs 8.9 ms in one run, 10.2 vs 9.3 in
+/// another), and at m = 32 the blocked path won it, its register blocking
+/// starting to pay. Batched training (m ≥ 64) never reaches this path.
+pub const GEMV_MAX_M: usize = 8;
+
+/// Whether an `m`-row matmul takes the row-streaming path.
+pub(crate) fn row_stream(m: usize) -> bool {
+    m <= GEMV_MAX_M
+}
+
+/// Whether the layout-free kernels — the row-streaming GEMV bodies and
+/// the INT quantizer — run their AVX2 clone: whenever the CPU has AVX2
+/// and `RAPID_SIMD` is not `off`. There is no size gate: those clones
+/// have no set-up cost to amortize.
+pub(crate) fn simd_inner(mode: SimdMode) -> bool {
+    mode != SimdMode::Off && simd_available()
+}
+
 /// Whether a float GEMM of `macs` total MACs should take the AVX2 kernels.
 pub(crate) fn float_use_simd(mode: SimdMode, macs: u64) -> bool {
     match mode {
@@ -149,6 +184,8 @@ pub enum KernelBackend {
     Simd,
     /// Popcount over packed INT2 bit-planes.
     BitSliced,
+    /// Row-streaming GEMV over row-major B (at most `GEMV_MAX_M` rows of A).
+    RowStream,
 }
 
 impl std::fmt::Display for KernelBackend {
@@ -158,6 +195,7 @@ impl std::fmt::Display for KernelBackend {
             KernelBackend::Tiled => "tiled",
             KernelBackend::Simd => "simd",
             KernelBackend::BitSliced => "bit-sliced",
+            KernelBackend::RowStream => "row-stream",
         })
     }
 }
@@ -241,13 +279,24 @@ pub fn kernel_matrix() -> Vec<KernelChoice> {
 /// accumulation chunk, under an explicit mode.
 pub fn kernel_matrix_at(mode: SimdMode, dim: usize, chunk_len: usize) -> Vec<KernelChoice> {
     let macs = (dim * dim * dim) as u64;
-    vec![
+    let mut choices = vec![
         float_choice("fp16", mode, macs),
         float_choice("hfp8_fwd", mode, macs),
         float_choice("hfp8_bwd", mode, macs),
         int_choice("int4", IntFormat::Int4, mode, dim, chunk_len, macs),
         int_choice("int2", IntFormat::Int2, mode, dim, chunk_len, macs),
-    ]
+    ];
+    if row_stream(dim) {
+        let inner = if simd_inner(mode) { "avx2" } else { "portable" };
+        for c in choices.iter_mut().filter(|c| c.backend != KernelBackend::Scalar) {
+            c.backend = KernelBackend::RowStream;
+            c.reason = format!(
+                "m ≤ {GEMV_MAX_M}: row-streaming GEMV over row-major B, {inner} inner loop \
+                 (RAPID_SIMD={mode})"
+            );
+        }
+    }
+    choices
 }
 
 #[cfg(test)]
@@ -282,6 +331,24 @@ mod tests {
         for c in m {
             assert_ne!(c.backend, KernelBackend::Simd, "{}: {}", c.format, c.reason);
             assert_ne!(c.backend, KernelBackend::BitSliced, "{}: {}", c.format, c.reason);
+        }
+    }
+
+    #[test]
+    fn small_m_reports_row_stream_under_every_mode() {
+        for mode in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+            for c in kernel_matrix_at(mode, GEMV_MAX_M, 64) {
+                assert_eq!(c.backend, KernelBackend::RowStream, "{}: {}", c.format, c.reason);
+            }
+            for c in kernel_matrix_at(mode, GEMV_MAX_M + 1, 64) {
+                assert_ne!(c.backend, KernelBackend::RowStream, "{}: {}", c.format, c.reason);
+            }
+        }
+        // Just past the bound, `auto` still keeps tiny GEMMs off the vector
+        // kernels (`auto_respects_size_threshold` now sits under the bound).
+        assert!((GEMV_MAX_M + 1).pow(3) < AUTO_MIN_MACS as usize);
+        for c in kernel_matrix_at(SimdMode::Auto, GEMV_MAX_M + 1, 64) {
+            assert_eq!(c.backend, KernelBackend::Tiled, "{}: {}", c.format, c.reason);
         }
     }
 

@@ -15,15 +15,19 @@
 //! replaces the HFP8 pipeline's per-FMA format conversions with exhaustive
 //! product tables ([`crate::lut`]), walks B through transposed k-panels,
 //! register-blocks columns to overlap the serial FP16 rounding chains, and
-//! fans rows out across threads. It is required to be *bit-exact* against
-//! the scalar reference — same output bits, same [`GemmStats`] — which
-//! `tests/fastpath_bitexact.rs` verifies property-style; the merge of
-//! per-band statistics is deterministic regardless of thread count.
+//! fans rows out across threads. Matmuls with at most
+//! [`dispatch::GEMV_MAX_M`] rows of A skip the panels and stream B in its
+//! row-major layout instead (`numerics::gemv`). Every fast path is required
+//! to be *bit-exact* against the scalar reference — same output bits, same
+//! [`GemmStats`] — which `tests/fastpath_bitexact.rs` verifies
+//! property-style; the merge of per-band statistics is deterministic
+//! regardless of thread count.
 
 use crate::accumulate::ChunkAccumulator;
 use crate::bitslice;
 use crate::dispatch::{self, SimdMode};
 use crate::fma::FmaMode;
+use crate::gemv;
 use crate::guard::{saturate_f32, GuardPolicy};
 use crate::int::{IntAccumulator, IntFormat, QuantParams, Signedness};
 use crate::simd;
@@ -347,6 +351,10 @@ pub fn matmul_emulated_with_simd(
     if m == 0 || n == 0 {
         return Ok((out, GemmStats::default()));
     }
+    if dispatch::row_stream(m) {
+        let stats = gemv_emulated(&qa, &qb, (m, k, n), chunk_len, simd_mode, out.as_mut_slice());
+        return Ok((out, stats));
+    }
     let use_simd = dispatch::float_use_simd(simd_mode, (m * n * k) as u64);
     let stats = match (qa.codes(), qb.codes()) {
         (Some(ac), Some(bc)) => {
@@ -392,6 +400,40 @@ pub fn matmul_emulated_with_simd(
         }
     };
     Ok((out, stats))
+}
+
+/// Small-m float matmul through the row-streaming kernels of
+/// [`crate::gemv`], B kept row-major. 8-bit modes gate on zero codes and
+/// FP16 on zero lattice values, as the blocked kernels do.
+fn gemv_emulated(
+    qa: &QTensor,
+    qb: &QTensor,
+    (m, k, n): (usize, usize, usize),
+    chunk_len: usize,
+    simd_mode: SimdMode,
+    od: &mut [f32],
+) -> GemmStats {
+    let lut;
+    let decoded: Vec<f32>;
+    let (av, a_zero, b): (&[f32], Vec<bool>, _) = match (qa.codes(), qb.codes()) {
+        (Some(ac), Some(bc)) => {
+            lut = product_lut(qa.format(), qb.format());
+            let ia = lut.a_operands();
+            decoded = ac.iter().map(|&c| ia[usize::from(c)]).collect();
+            let a_zero = ac.iter().map(|&c| is_zero_code(c)).collect();
+            (&decoded, a_zero, gemv::FloatB::Codes(bc, lut.b_operands()))
+        }
+        _ => {
+            let av = qa.values().as_slice();
+            let a_zero = av.iter().map(|&v| v == 0.0).collect();
+            (av, a_zero, gemv::FloatB::Values(qb.values().as_slice()))
+        }
+    };
+    let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+        let band_a = row0 * k..;
+        gemv::float_rows(&av[band_a.clone()], &a_zero[band_a], b, k, n, chunk_len, simd_mode, band)
+    };
+    par_rows(od, m, n, k, &work)
 }
 
 /// Interleaves `[n, k]` column panels into 16-wide groups for the AVX2
@@ -876,9 +918,7 @@ pub fn matmul_int_with_simd(
     let (m, k, n) = check_matmul_shapes(a, b)?;
     assert!(chunk_len > 0, "chunk length must be positive");
     let mut ca = Vec::new();
-    let mut cb = Vec::new();
-    qa.quantize_slice_into(a.as_slice(), &mut ca);
-    qb.quantize_slice_into(b.as_slice(), &mut cb);
+    qa.quantize_codes_into(a.as_slice(), &mut ca, simd_mode);
     let out_scale = qa.scale() * qb.scale();
     let mut out = Tensor::zeros(vec![m, n]);
     if m == 0 || n == 0 {
@@ -888,7 +928,19 @@ pub fn matmul_int_with_simd(
     // magnitude fits; then exact integer sums are bit-exact and the fast
     // paths apply. Otherwise (illegally long chunks) fall back to the
     // saturating scalar accumulator.
-    if int_saturation_possible(qa, qb, k, chunk_len) {
+    let saturation_possible = int_saturation_possible(qa, qb, k, chunk_len);
+    if dispatch::row_stream(m) && !saturation_possible {
+        // B is quantized row segment by row segment inside the kernel.
+        let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+            let arows = &ca[row0 * k..];
+            gemv::int_rows(arows, b.as_slice(), qb, k, n, chunk_len, out_scale, simd_mode, band)
+        };
+        let stats = par_rows(out.as_mut_slice(), m, n, k, &work);
+        return Ok((out, stats));
+    }
+    let mut cb = Vec::new();
+    qb.quantize_codes_into(b.as_slice(), &mut cb, simd_mode);
+    if saturation_possible {
         let stats =
             matmul_int_codes_scalar(&ca, &cb, m, k, n, chunk_len, out_scale, out.as_mut_slice());
         return Ok((out, stats));
@@ -1584,7 +1636,7 @@ pub fn conv2d_int_with_simd(
         dispatch::IntKernel::Tiled => conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
             matmul_int_with_simd(cols, wmat, qa, qw, chunk_len, simd_mode)
         }),
-        kernel => conv2d_panels_int(input, weight, spec, qa, qw, scratch, kernel),
+        kernel => conv2d_panels_int(input, weight, spec, qa, qw, scratch, kernel, simd_mode),
     }
 }
 
@@ -1729,6 +1781,7 @@ fn conv2d_panels_emulated(
 /// [`conv2d_panels_emulated`], with whole-k madd or bit-sliced dot
 /// products. Only called when the chunk guard rules out INT16 saturation,
 /// so `kernel` is never [`dispatch::IntKernel::Tiled`].
+#[allow(clippy::too_many_arguments)]
 fn conv2d_panels_int(
     input: &Tensor,
     weight: &Tensor,
@@ -1737,6 +1790,7 @@ fn conv2d_panels_int(
     qw: QuantParams,
     scratch: &mut ConvScratch,
     kernel: dispatch::IntKernel,
+    simd_mode: SimdMode,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let g = check_conv_shapes(input, weight)?;
     let ho = spec.out_dim(g.h, g.kh);
@@ -1748,8 +1802,8 @@ fn conv2d_panels_int(
     // Weight is already [co][ci·kh·kw] row-major; quantize both flat.
     let mut cw = Vec::new();
     let mut cc = Vec::new();
-    qw.quantize_slice_into(weight.as_slice(), &mut cw);
-    qa.quantize_slice_into(cols.as_slice(), &mut cc);
+    qw.quantize_codes_into(weight.as_slice(), &mut cw, simd_mode);
+    qa.quantize_codes_into(cols.as_slice(), &mut cc, simd_mode);
     // Same expression (and f32 rounding) as the flat path's
     // `qa.scale() * qb.scale()` with A = cols, B = weights.
     let out_scale = qa.scale() * qw.scale();

@@ -6,7 +6,7 @@
 //! per-tensor scale factors: activations via PACT (unsigned, clipped to a
 //! learned α) and weights via SaWB (signed symmetric) — see `rapid-quant`.
 
-use crate::NumericsError;
+use crate::{NumericsError, SimdMode};
 
 /// Width of a fixed-point element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,30 +156,69 @@ impl QuantParams {
     }
 
     /// Quantizes a whole slice into `out` (cleared first). Element-wise
-    /// identical to [`Self::quantize`] — on AVX2 machines the loop runs in
-    /// a `target_feature` clone where `round_ties_even` lowers to a single
-    /// `vroundpd` and the divide vectorizes, instead of the baseline
-    /// build's per-element libm call; the computation itself is the same
-    /// Rust expression, so codes never differ between the two.
+    /// identical to [`Self::quantize`]. Honors `RAPID_SIMD` like the
+    /// kernels: unless it is `off`, AVX2 machines run an explicitly
+    /// vectorized body, otherwise the portable per-element loop.
     pub fn quantize_slice_into(&self, xs: &[f32], out: &mut Vec<i8>) {
+        self.quantize_codes_into(xs, out, SimdMode::from_env());
+    }
+
+    /// [`Self::quantize_slice_into`] under an explicit vectorization
+    /// policy: the AVX2 body whenever the CPU has it and `simd` is not
+    /// [`SimdMode::Off`] (no size gate — the body has no set-up cost).
+    pub(crate) fn quantize_codes_into(&self, xs: &[f32], out: &mut Vec<i8>, simd: SimdMode) {
         out.clear();
         out.reserve(xs.len());
         #[cfg(target_arch = "x86_64")]
-        if crate::dispatch::simd_available() {
-            // SAFETY: AVX2 presence checked on the line above.
+        if crate::dispatch::simd_inner(simd) {
+            // SAFETY: `simd_inner` is true only when AVX2 is available;
+            // `out` is empty with capacity for `xs.len()` codes.
             unsafe { self.quantize_slice_avx2(xs, out) };
             return;
         }
         out.extend(xs.iter().map(|&x| self.quantize(x)));
     }
 
+    /// Eight elements per step, each through exactly [`Self::quantize`]'s
+    /// arithmetic: widen to f64 (exact), IEEE divide by the f64 scale,
+    /// round half to even, clamp to the code range (NaN forced to 0, the
+    /// value the scalar `as i64` cast gives it), then convert — the
+    /// clamped value is an integer in −7..=15, so `cvtpd_epi32` and the
+    /// saturating packs are exact. Tail elements take the scalar path.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2.
+    /// Requires AVX2; `out` must be empty with capacity ≥ `xs.len()`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn quantize_slice_avx2(&self, xs: &[f32], out: &mut Vec<i8>) {
-        out.extend(xs.iter().map(|&x| self.quantize(x)));
+        use std::arch::x86_64::*;
+        let (lo, hi) = self.code_range();
+        let scale = _mm256_set1_pd(f64::from(self.scale));
+        let lo = _mm256_set1_pd(f64::from(lo));
+        let hi = _mm256_set1_pd(f64::from(hi));
+        let code4 = |v: __m128| {
+            let q = _mm256_div_pd(_mm256_cvtps_pd(v), scale);
+            let q = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(q);
+            // Ordered-self compare is all-ones except on NaN lanes.
+            let q = _mm256_and_pd(q, _mm256_cmp_pd::<_CMP_ORD_Q>(q, q));
+            _mm256_cvtpd_epi32(_mm256_min_pd(_mm256_max_pd(q, lo), hi))
+        };
+        let dst = out.as_mut_ptr();
+        let body = xs.len() / 8 * 8;
+        for i in (0..body).step_by(8) {
+            let v = _mm256_loadu_ps(xs.as_ptr().add(i));
+            let lo4 = code4(_mm256_castps256_ps128(v));
+            let hi4 = code4(_mm256_extractf128_ps::<1>(v));
+            let codes = _mm_packs_epi16(_mm_packs_epi32(lo4, hi4), _mm_setzero_si128());
+            _mm_storel_epi64(dst.add(i).cast(), codes);
+        }
+        for (i, &x) in xs.iter().enumerate().skip(body) {
+            dst.add(i).write(self.quantize(x));
+        }
+        // SAFETY (caller contract): capacity ≥ xs.len(), and every
+        // element below it was written above.
+        out.set_len(xs.len());
     }
 
     /// Real value of a code.
@@ -441,5 +480,32 @@ mod tests {
         assert_eq!(q.quantize(2.5), 2);
         assert_eq!(q.quantize(-0.5), 0);
         assert_eq!(q.quantize(-1.5), -2);
+    }
+
+    /// Both slice bodies — AVX2 (when the CPU has it) and portable — agree
+    /// with `quantize` on special values, half-code ties and ragged tails,
+    /// whatever `RAPID_SIMD` says.
+    #[test]
+    fn slice_bodies_match_scalar_quantize() {
+        let mut xs: Vec<f32> = [0.0f32, -0.0, f32::NAN, -f32::NAN, f32::INFINITY]
+            .into_iter()
+            .chain([f32::NEG_INFINITY, f32::MIN_POSITIVE, -1e-45, 1e30, -1e30])
+            .chain([f32::from_bits(0x7fc0_1234), f32::from_bits(0xff80_0001)])
+            .collect();
+        let scale = 0.37f32;
+        xs.extend((-20..20).map(|c| (c as f32 + 0.5) * scale));
+        for fmt in [IntFormat::Int4, IntFormat::Int2] {
+            for signedness in [Signedness::Signed, Signedness::Unsigned] {
+                let q = QuantParams::with_scale(fmt, signedness, scale).unwrap();
+                for len in 0..=xs.len() {
+                    let want: Vec<i8> = xs[..len].iter().map(|&x| q.quantize(x)).collect();
+                    for simd in [SimdMode::Force, SimdMode::Off] {
+                        let mut got = vec![99; 3];
+                        q.quantize_codes_into(&xs[..len], &mut got, simd);
+                        assert_eq!(got, want, "{fmt} {signedness:?} len {len} {simd}");
+                    }
+                }
+            }
+        }
     }
 }

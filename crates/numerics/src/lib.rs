@@ -68,6 +68,7 @@ pub mod error;
 pub mod fma;
 pub mod format;
 pub mod gemm;
+pub(crate) mod gemv;
 pub mod guard;
 pub mod int;
 pub mod lut;

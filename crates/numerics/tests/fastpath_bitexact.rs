@@ -16,6 +16,7 @@ use rapid_numerics::gemm::{
     matmul_emulated_with_simd, matmul_int, matmul_int_scalar, matmul_int_with_simd, ConvScratch,
     ConvSpec,
 };
+use rapid_numerics::dispatch::GEMV_MAX_M;
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid_numerics::{SimdMode, Tensor};
 
@@ -57,7 +58,99 @@ fn int_params_from(idx: u8, abs_max: f32) -> QuantParams {
     QuantParams::from_abs_max(fmt, signedness, abs_max)
 }
 
+/// `sparse_mat` with A row `zero_row` and B row `zero_row` forced to zero
+/// (when in range), so the GEMV gating identity sees whole gated steps
+/// and whole gated weight rows.
+fn gemv_operands(m: usize, k: usize, n: usize, seed: u64, zero_row: usize) -> (Tensor, Tensor) {
+    let mut a = sparse_mat(vec![m, k], seed, -2.0, 2.0);
+    let mut b = sparse_mat(vec![k, n], seed.wrapping_add(1), -2.0, 2.0);
+    if zero_row < m {
+        a.as_mut_slice()[zero_row * k..(zero_row + 1) * k].fill(0.0);
+    }
+    if zero_row < k {
+        b.as_mut_slice()[zero_row * n..(zero_row + 1) * n].fill(0.0);
+    }
+    (a, b)
+}
+
+/// Bumps `x` off multiples of 8 (hence of 16 and 64) and of `chunk_len`,
+/// so vector tails and a partial final chunk window are always exercised.
+fn ragged(x: usize, chunk_len: usize) -> usize {
+    let x = if x.is_multiple_of(8) { x + 1 } else { x };
+    if chunk_len > 1 && x.is_multiple_of(chunk_len) {
+        ragged(x + 1, chunk_len)
+    } else {
+        x
+    }
+}
+
 proptest! {
+    /// The slice quantizer (whichever body `RAPID_SIMD` selects) agrees
+    /// with `QuantParams::quantize` on arbitrary f32 bit patterns — NaN
+    /// payloads, infinities, subnormals, both zeros — and on exact
+    /// half-code ties, for every format and signedness, at slice lengths
+    /// that leave a ragged tail for the 8-wide vector body.
+    #[test]
+    fn int_quantize_slice_matches_scalar(
+        bits in proptest::collection::vec(0u32..=u32::MAX, 0..70),
+        (mant, exp) in (1u32..65_536, -30i32..4),
+        fmt_idx in 0u8..4,
+        len_cut in 0usize..8,
+    ) {
+        // A scale with ≤ 16 significant bits: `(c + 0.5) · scale` is then
+        // exact in f32, so those inputs are true ties of the f64 quotient.
+        let scale = mant as f32 * (exp as f32).exp2();
+        let q0 = int_params_from(fmt_idx, 1.0);
+        let q = QuantParams::with_scale(q0.format(), q0.signedness(), scale).unwrap();
+        let mut xs: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        xs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        xs.extend([f32::from_bits(0x7fa0_0001), f32::from_bits(0xffc1_2345)]);
+        xs.extend([f32::from_bits(1), f32::from_bits(0x807f_ffff), f32::MIN_POSITIVE]);
+        xs.extend((-17..17).map(|c| (c as f32 + 0.5) * scale));
+        xs.truncate(xs.len() - len_cut);
+        let mut got = vec![0; 5];
+        q.quantize_slice_into(&xs, &mut got);
+        prop_assert_eq!(got.len(), xs.len());
+        for (&x, &c) in xs.iter().zip(&got) {
+            let want = q.quantize(x);
+            prop_assert_eq!(c, want, "x {:e} ({:#010x}), scale {:e}", x, x.to_bits(), scale);
+        }
+    }
+
+    /// Row-streaming GEMV path (m ≤ `GEMV_MAX_M`, plus the first m past
+    /// it): INT for every format pair and float for every mode, under
+    /// `SimdMode::Force` and `Off`, on ragged n and k spanning several
+    /// chunk windows with a partial last one, with an all-zero A row and
+    /// an all-zero B row — values and `GemmStats` equal the scalar
+    /// references.
+    #[test]
+    fn gemv_bit_exact_across_backends(
+        (m, k, n) in (1usize..=GEMV_MAX_M + 1, 1usize..200, 1usize..200),
+        (fmt_a, fmt_b) in (0u8..4, 0u8..4),
+        (mode_idx, bias_a, bias_b) in (0u8..4, 4i32..=10, 4i32..=10),
+        chunk_len in 1usize..80,
+        zero_row in 0usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        let (k, n) = (ragged(k, chunk_len), ragged(n, 1));
+        let (a, b) = gemv_operands(m, k, n, seed, zero_row);
+        let qa = int_params_from(fmt_a, a.max_abs());
+        let qb = int_params_from(fmt_b, b.max_abs());
+        let (iscalar, iscalar_stats) = matmul_int_scalar(&a, &b, qa, qb, chunk_len);
+        let mode = mode_from(mode_idx, bias_a, bias_b);
+        let (fscalar, fscalar_stats) = matmul_emulated_scalar(mode, &a, &b, chunk_len);
+        for simd in [SimdMode::Force, SimdMode::Off] {
+            let (ifast, ifast_stats) =
+                matmul_int_with_simd(&a, &b, qa, qb, chunk_len, simd).unwrap();
+            assert_bits_eq(&ifast, &iscalar);
+            prop_assert_eq!(ifast_stats, iscalar_stats, "int {:?}", simd);
+            let (ffast, ffast_stats) =
+                matmul_emulated_with_simd(mode, &a, &b, chunk_len, simd).unwrap();
+            assert_bits_eq(&ffast, &fscalar);
+            prop_assert_eq!(ffast_stats, fscalar_stats, "{:?} {:?}", mode, simd);
+        }
+    }
+
     /// The dispatching quantizer and the f64-arithmetic reference agree to
     /// the bit on arbitrary f32 payloads, for every RaPiD format including
     /// programmable biases.
