@@ -124,11 +124,11 @@ pub(crate) fn row_stream(m: usize) -> bool {
     m <= GEMV_MAX_M
 }
 
-/// Whether the layout-free kernels — the row-streaming GEMV bodies and
-/// the INT quantizer — run their AVX2 clone: whenever the CPU has AVX2
-/// and `RAPID_SIMD` is not `off`. There is no size gate: those clones
-/// have no set-up cost to amortize.
-pub(crate) fn simd_inner(mode: SimdMode) -> bool {
+/// Whether the layout-free kernels — the row-streaming GEMV bodies, the
+/// INT quantizer and the simulator's INT array loop — run their AVX2
+/// clone: whenever the CPU has AVX2 and `RAPID_SIMD` is not `off`. There
+/// is no size gate: those clones have no set-up cost to amortize.
+pub fn simd_inner(mode: SimdMode) -> bool {
     mode != SimdMode::Off && simd_available()
 }
 

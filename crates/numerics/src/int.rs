@@ -166,7 +166,7 @@ impl QuantParams {
     /// [`Self::quantize_slice_into`] under an explicit vectorization
     /// policy: the AVX2 body whenever the CPU has it and `simd` is not
     /// [`SimdMode::Off`] (no size gate — the body has no set-up cost).
-    pub(crate) fn quantize_codes_into(&self, xs: &[f32], out: &mut Vec<i8>, simd: SimdMode) {
+    pub fn quantize_codes_into(&self, xs: &[f32], out: &mut Vec<i8>, simd: SimdMode) {
         out.clear();
         out.reserve(xs.len());
         #[cfg(target_arch = "x86_64")]

@@ -167,7 +167,19 @@ impl Tensor {
 
     /// Largest absolute value (0.0 for an empty tensor).
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+        // Eight independent lanes let the loop vectorize. The maximum of a
+        // set does not depend on the order it is taken in, and `f32::max`
+        // never returns a NaN here (every lane starts at 0.0), so this is
+        // the plain left fold's value.
+        let mut lanes = [0.0f32; 8];
+        let runs = self.data.chunks_exact(8);
+        let rest = runs.remainder();
+        for run in runs {
+            for (l, &x) in lanes.iter_mut().zip(run) {
+                *l = l.max(x.abs());
+            }
+        }
+        rest.iter().chain(&lanes).fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
     /// Arithmetic mean (0.0 for an empty tensor).
@@ -212,11 +224,19 @@ impl Tensor {
     /// Panics if the tensor is not rank 2.
     pub fn transposed(&self) -> Self {
         assert_eq!(self.shape.len(), 2, "transpose requires a rank-2 tensor");
+        // In 32×32 blocks: each output row segment is written contiguously
+        // from 32 source rows that stay cache-resident across the block.
+        const B: usize = 32;
         let (r, c) = (self.shape[0], self.shape[1]);
         let mut out = Tensor::zeros(vec![c, r]);
-        for i in 0..r {
-            for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+        for i0 in (0..r).step_by(B) {
+            let i1 = (i0 + B).min(r);
+            for j0 in (0..c).step_by(B) {
+                for j in j0..(j0 + B).min(c) {
+                    for i in i0..i1 {
+                        out.data[j * r + i] = self.data[i * c + j];
+                    }
+                }
             }
         }
         out
@@ -279,6 +299,15 @@ mod tests {
         let t = Tensor::random_uniform(vec![3, 5], -1.0, 1.0, 42);
         assert_eq!(t.transposed().transposed(), t);
         assert_eq!(t.transposed().get(&[4, 2]), t.get(&[2, 4]));
+        // Several blocks each way, with ragged edges.
+        let t = Tensor::random_uniform(vec![70, 45], -1.0, 1.0, 43);
+        let tt = t.transposed();
+        assert_eq!(tt.shape(), &[45, 70]);
+        for i in 0..70 {
+            for j in 0..45 {
+                assert_eq!(tt.get(&[j, i]).to_bits(), t.get(&[i, j]).to_bits());
+            }
+        }
     }
 
     #[test]
@@ -290,6 +319,20 @@ mod tests {
         let (m, s) = Tensor::from_vec(vec![2], vec![1.0, 3.0]).mean_std();
         assert_eq!(m, 2.0);
         assert_eq!(s, 1.0);
+    }
+
+    #[test]
+    fn max_abs_matches_a_sequential_fold() {
+        let specials = [f32::NAN, -0.0, f32::NEG_INFINITY, 1.0e-40, -3.5, 2.0];
+        for len in 0..40 {
+            let mut v = Tensor::random_uniform(vec![len], -4.0, 4.0, len as u64).into_vec();
+            for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % 5 == len % 5) {
+                *x = specials[i % specials.len()];
+            }
+            let seq = v.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+            let t = Tensor::from_vec(vec![len], v);
+            assert_eq!(t.max_abs().to_bits(), seq.to_bits(), "len {len}");
+        }
     }
 
     #[test]

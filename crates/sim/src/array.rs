@@ -14,6 +14,11 @@
 //!    accumulation, zero-gating);
 //! 4. signal the weight sequencer (token) so the next block may load.
 //!
+//! The FXU datapath works on codes, as the hardware's LRFs hold them: a
+//! block's weights are quantized once when its load completes, each input
+//! element once when its position issues, and a position's MACs add
+//! `code_a · code_row` into contiguous lanes.
+//!
 //! Values are checked against reference GEMMs in the driver's tests; the
 //! cycle counts are what the calibration experiment (E9) compares with the
 //! analytical model.
@@ -24,8 +29,9 @@ use crate::token::TokenFile;
 use rapid_arch::geometry::CoreletConfig;
 use rapid_arch::precision::Precision;
 use rapid_numerics::accumulate::ChunkAccumulator;
+use rapid_numerics::dispatch::{simd_inner, SimdMode};
 use rapid_numerics::fma::FmaMode;
-use rapid_numerics::int::{IntAccumulator, QuantParams};
+use rapid_numerics::int::QuantParams;
 
 /// Token the array signals when a stationary block has fully streamed and
 /// its LRF may be overwritten.
@@ -49,11 +55,32 @@ pub enum Datapath {
     },
 }
 
+/// MACs per FXU INT16 chunk register before it flushes into the outer
+/// accumulator.
+const INT_CHUNK: u64 = 64;
+
 /// One output tile's accumulators.
 #[derive(Debug)]
 enum AccBank {
     Float(Vec<ChunkAccumulator>),
-    Int(Vec<IntAccumulator>, f32),
+    Int(IntBank),
+}
+
+/// The FXU accumulators of one output tile: one lane per (position,
+/// column), row-major by position. `chunk` holds each output's INT16
+/// chunk register as an i32 lane and flushes into the i64 `outer` lane
+/// every [`INT_CHUNK`] MACs, where the hardware register flushes. The
+/// register never saturates: a product of two codes is at most 15·15 =
+/// 225 in magnitude, so a chunk sums to at most 64·225 = 14 400 < 32 767,
+/// and the i32 lane holds exactly the register's value.
+#[derive(Debug)]
+struct IntBank {
+    chunk: Vec<i32>,
+    outer: Vec<i64>,
+    /// Zero-gated MACs of this tile so far.
+    gated: u64,
+    /// Output scale, `scale(a) · scale(b)`.
+    scale: f32,
 }
 
 /// Phase of the block state machine.
@@ -93,9 +120,15 @@ pub struct MpeArray {
     // Current stationary block.
     lrf: Vec<f32>, // [ci_b × tile_width], row-major by ci
     lrf_filled: u64,
-    // Current streaming position.
+    // INT datapath: the block's weight codes and zero codes per LRF row.
+    lrf_codes: Vec<i8>,
+    row_zeros: Vec<u64>,
+    // Current streaming position (and its input codes on the INT path).
     pos: u64,
     pos_buf: Vec<f32>,
+    pos_codes: Vec<i8>,
+    // Vectorization of the INT inner loop (values never depend on it).
+    simd: SimdMode,
     // Per-(position, col) accumulators for the current tile.
     acc: Option<AccBank>,
     /// Completed outputs: `(row, col, value)` triples.
@@ -154,8 +187,12 @@ impl MpeArray {
             phase: Phase::BlockLoad,
             lrf: Vec::new(),
             lrf_filled: 0,
+            lrf_codes: Vec::new(),
+            row_zeros: Vec::new(),
             pos: 0,
             pos_buf: Vec::new(),
+            pos_codes: Vec::new(),
+            simd: SimdMode::from_env(),
             acc: None,
             outputs: Vec::new(),
             phase_cycles: [0; 4],
@@ -187,9 +224,12 @@ impl MpeArray {
             Datapath::Float { mode } => AccBank::Float(
                 (0..w).map(|_| ChunkAccumulator::new(*mode, self.ci_lrf() as usize)).collect(),
             ),
-            Datapath::Int { qa, qb } => {
-                AccBank::Int((0..w).map(|_| IntAccumulator::new(64)).collect(), qa.scale() * qb.scale())
-            }
+            Datapath::Int { qa, qb } => AccBank::Int(IntBank {
+                chunk: vec![0; w],
+                outer: vec![0; w],
+                gated: 0,
+                scale: qa.scale() * qb.scale(),
+            }),
         });
         self.block_idx = 0;
         self.begin_block();
@@ -239,12 +279,15 @@ impl MpeArray {
                 // weights per cycle; the weight link is already
                 // budget-limited, so drain whatever arrived.
                 let need = self.block_ci() * self.tile_width();
-                while self.lrf_filled < need {
-                    let Some(v) = weights.pop() else { break };
-                    self.lrf.push(v);
-                    self.lrf_filled += 1;
-                }
+                let room = (need - self.lrf_filled) as usize;
+                self.lrf_filled += weights.pop_into(&mut self.lrf, room) as u64;
                 if self.lrf_filled == need {
+                    if let Datapath::Int { qb, .. } = &self.datapath {
+                        qb.quantize_codes_into(&self.lrf, &mut self.lrf_codes, self.simd);
+                        let w = self.tile_width() as usize;
+                        self.row_zeros.clear();
+                        self.row_zeros.extend(self.lrf_codes.chunks_exact(w).map(count_zero_codes));
+                    }
                     self.phase = Phase::Fill(self.cfg.pipeline_fill_cycles());
                 }
             }
@@ -254,14 +297,10 @@ impl MpeArray {
             }
             Phase::Stream => {
                 // Per cycle the rows accept up to ci_tile input elements.
-                let ci_cyc = u64::from(self.cfg.ci_tile(self.job.precision));
+                let ci_cyc = self.cfg.ci_tile(self.job.precision) as usize;
                 let need = self.block_ci() as usize;
-                let mut taken = 0;
-                while taken < ci_cyc && self.pos_buf.len() < need {
-                    let Some(v) = inputs.pop() else { break };
-                    self.pos_buf.push(v);
-                    taken += 1;
-                }
+                let room = ci_cyc.min(need - self.pos_buf.len());
+                let taken = inputs.pop_into(&mut self.pos_buf, room);
                 if taken == 0 && self.pos_buf.len() < need {
                     self.phase_cycles[3] += 1; // starved on inputs
                     return;
@@ -287,6 +326,7 @@ impl MpeArray {
     fn issue_position(&mut self) {
         let w = self.tile_width() as usize;
         let base = (self.pos as usize) * w;
+        let mac0 = self.block_idx * self.ci_lrf();
         let acc = self.acc.as_mut().expect("tile accumulators exist");
         match (acc, &self.datapath) {
             (AccBank::Float(bank), Datapath::Float { .. }) => {
@@ -298,14 +338,21 @@ impl MpeArray {
                 }
                 self.macs += (self.pos_buf.len() * w) as u64;
             }
-            (AccBank::Int(bank, _), Datapath::Int { qa, qb }) => {
-                for (ci, &a) in self.pos_buf.iter().enumerate() {
-                    let ca = qa.quantize(a);
-                    let row = &self.lrf[ci * w..(ci + 1) * w];
-                    for (c, &b) in row.iter().enumerate() {
-                        bank[base + c].mac(ca, qb.quantize(b));
-                    }
-                }
+            (AccBank::Int(bank), Datapath::Int { qa, .. }) => {
+                qa.quantize_codes_into(&self.pos_buf, &mut self.pos_codes, self.simd);
+                let step = IntStep {
+                    codes: &self.pos_codes,
+                    lrf: &self.lrf_codes,
+                    row_zeros: &self.row_zeros,
+                    mac0,
+                };
+                let lanes = base..base + w;
+                bank.gated += int_position(
+                    step,
+                    &mut bank.chunk[lanes.clone()],
+                    &mut bank.outer[lanes],
+                    self.simd,
+                );
                 self.macs += (self.pos_buf.len() * w) as u64;
             }
             _ => unreachable!("datapath/accumulator banks always match"),
@@ -336,13 +383,14 @@ impl MpeArray {
                     }
                 }
             }
-            AccBank::Int(bank, scale) => {
-                let mut it = bank.into_iter();
+            AccBank::Int(bank) => {
+                self.zero_gated += bank.gated;
+                let mut it = bank.outer.iter().zip(&bank.chunk);
                 for r in 0..self.job.m {
                     for c in 0..w {
-                        let a = it.next().expect("bank sized m*w");
-                        self.zero_gated += a.zero_gated();
-                        self.outputs.push((r, col_start + c, a.finish() as f32 * scale));
+                        let (&outer, &chunk) = it.next().expect("bank sized m*w");
+                        let v = (outer + i64::from(chunk)) as f32 * bank.scale;
+                        self.outputs.push((r, col_start + c, v));
                     }
                 }
             }
@@ -354,6 +402,73 @@ impl MpeArray {
             self.start_tile();
         }
     }
+}
+
+/// Zero codes in one LRF row.
+fn count_zero_codes(row: &[i8]) -> u64 {
+    row.iter().filter(|&&c| c == 0).count() as u64
+}
+
+/// One input position's reduction against the stationary INT block.
+#[derive(Debug, Clone, Copy)]
+struct IntStep<'a> {
+    /// Input codes, one per LRF row.
+    codes: &'a [i8],
+    /// Weight codes `[rows × w]`, row-major.
+    lrf: &'a [i8],
+    /// Zero codes per LRF row.
+    row_zeros: &'a [u64],
+    /// MACs each output of the tile had before this block.
+    mac0: u64,
+}
+
+/// Adds one position's MACs into its `w` output lanes and returns how many
+/// were zero-gated: a MAC is gated when either code is zero, so LRF row
+/// `ci` gates all `w` MACs when its input code is zero and `zeros(ci)`
+/// otherwise. The lanes flush when each output's MAC count `mac0 + ci + 1`
+/// reaches a multiple of [`INT_CHUNK`]. The body is compiled twice —
+/// baseline and an AVX2 clone — and `simd` picks one; the sums are exact
+/// integers, so both give the same lanes.
+fn int_position(step: IntStep<'_>, chunk: &mut [i32], outer: &mut [i64], simd: SimdMode) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if simd_inner(simd) {
+        // SAFETY: `simd_inner` is true only when AVX2 is available.
+        return unsafe { int_position_avx2(step, chunk, outer) };
+    }
+    int_position_body(step, chunk, outer)
+}
+
+/// # Safety
+///
+/// Requires AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn int_position_avx2(step: IntStep<'_>, chunk: &mut [i32], outer: &mut [i64]) -> u64 {
+    int_position_body(step, chunk, outer)
+}
+
+#[inline(always)]
+fn int_position_body(step: IntStep<'_>, chunk: &mut [i32], outer: &mut [i64]) -> u64 {
+    let w = chunk.len();
+    let mut gated = 0;
+    for (ci, (&ca, row)) in step.codes.iter().zip(step.lrf.chunks_exact(w)).enumerate() {
+        if ca == 0 {
+            gated += w as u64;
+        } else {
+            gated += step.row_zeros[ci];
+            let a = i32::from(ca);
+            for (s, &b) in chunk.iter_mut().zip(row) {
+                *s += a * i32::from(b);
+            }
+        }
+        if (step.mac0 + ci as u64 + 1).is_multiple_of(INT_CHUNK) {
+            for (o, s) in outer.iter_mut().zip(chunk.iter_mut()) {
+                *o += i64::from(*s);
+                *s = 0;
+            }
+        }
+    }
+    gated
 }
 
 #[cfg(test)]

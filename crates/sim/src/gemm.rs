@@ -13,8 +13,9 @@ use rapid_arch::precision::Precision;
 use rapid_fault::FaultPlan;
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
-use rapid_numerics::{NumericsError, QTensor, Tensor};
+use rapid_numerics::{NumericsError, QTensor, SimdMode, Tensor};
 use rapid_telemetry::{MetricsRegistry, SpanCoalescer, Telemetry};
+use std::sync::Arc;
 
 /// The stable label a [`Precision`] carries in telemetry metric names
 /// (`sim.macs.fp16`, ...).
@@ -199,8 +200,11 @@ impl CoreSim {
         let (m, k) = (job.a.shape()[0] as u64, job.a.shape()[1] as u64);
         let n = job.b.shape()[1] as u64;
 
-        // Quantize operands once, as they would be stored in the L1.
-        let (qa_t, qb_t, datapath) = prepare_operands(job);
+        // Quantize operands once, as they would be stored in the L1: the
+        // whole A at 0, B at m·k (element-addressed). The corelets share
+        // the image; each reads only its own rows and tiles.
+        let (image, datapath) = prepare_operands(job);
+        let image = Arc::new(image);
 
         // Partition: output-column tiles round-robin across the corelets;
         // when there are fewer tiles than corelets, replicate the weights
@@ -238,8 +242,7 @@ impl CoreSim {
         let mut wall = 0u64;
         for (idx, (row0, rows, tiles)) in shares.into_iter().enumerate() {
             let (outputs, report) = self.run_corelet(
-                &qa_t,
-                &qb_t,
+                &image,
                 row0,
                 rows,
                 k,
@@ -276,8 +279,7 @@ impl CoreSim {
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn run_corelet(
         &self,
-        a: &Tensor,
-        b: &Tensor,
+        image: &Arc<Vec<f32>>,
         row0: u64,
         m: u64,
         k: u64,
@@ -292,14 +294,10 @@ impl CoreSim {
         let corelet = self.cfg.corelet;
         let ci_lrf = u64::from(corelet.ci_lrf_max(precision));
         let n_blocks = k.div_ceil(ci_lrf);
-        let total_m = a.shape()[0] as u64;
-        let b_off = (total_m * k) as usize;
+        let b_off = image.len() - (k * n) as usize;
 
-        // Scratchpad image: the whole A at 0, B at b_off
-        // (element-addressed); this corelet reads rows [row0, row0+m).
-        let mut spad = Scratchpad::new((total_m * k + k * n) as usize);
-        spad.store_slice(0, a.as_slice());
-        spad.store_slice(b_off, b.as_slice());
+        // This corelet reads rows [row0, row0+m) of A and its tiles of B.
+        let mut spad = Scratchpad::from_image(Arc::clone(image));
         if self.spad_ecc {
             spad = spad.with_ecc();
         }
@@ -589,39 +587,42 @@ fn record_corelet_counters(
 }
 
 /// Quantizes the operands for storage and picks the array datapath.
-fn prepare_operands(job: &GemmJob) -> (Tensor, Tensor, Datapath) {
+/// Returns the L1 image — A's values, then B's — and the datapath.
+fn prepare_operands(job: &GemmJob) -> (Vec<f32>, Datapath) {
+    let float = |mode: FmaMode| {
+        let (fa, fb) = mode.operand_formats();
+        let mut image = QTensor::quantize(&job.a, fa).into_values().into_vec();
+        image.extend_from_slice(QTensor::quantize(&job.b, fb).into_values().as_slice());
+        (image, Datapath::Float { mode })
+    };
     match job.precision {
-        Precision::Fp16 => {
-            let (fa, fb) = FmaMode::Fp16.operand_formats();
-            (
-                QTensor::quantize(&job.a, fa).into_values(),
-                QTensor::quantize(&job.b, fb).into_values(),
-                Datapath::Float { mode: FmaMode::Fp16 },
-            )
-        }
-        Precision::Hfp8 => {
-            let mode = FmaMode::hfp8_fwd_default();
-            let (fa, fb) = mode.operand_formats();
-            (
-                QTensor::quantize(&job.a, fa).into_values(),
-                QTensor::quantize(&job.b, fb).into_values(),
-                Datapath::Float { mode },
-            )
-        }
+        Precision::Fp16 => float(FmaMode::Fp16),
+        Precision::Hfp8 => float(FmaMode::hfp8_fwd_default()),
         Precision::Int4 | Precision::Int2 => {
             let fmt =
                 if job.precision == Precision::Int4 { IntFormat::Int4 } else { IntFormat::Int2 };
             let qa = QuantParams::from_abs_max(fmt, Signedness::Signed, job.a.max_abs());
             let qb = QuantParams::from_abs_max(fmt, Signedness::Signed, job.b.max_abs());
             // Store the dequantized grid values; the FXU re-derives codes.
-            (
-                job.a.map(|v| qa.fake_quantize(v)),
-                job.b.map(|v| qb.fake_quantize(v)),
-                Datapath::Int { qa, qb },
-            )
+            let mut image = Vec::with_capacity(job.a.len() + job.b.len());
+            push_fake_quantized(&mut image, job.a.as_slice(), qa);
+            push_fake_quantized(&mut image, job.b.as_slice(), qb);
+            (image, Datapath::Int { qa, qb })
         }
         // try_run_gemm rejects FP32 before operands are prepared.
         Precision::Fp32 => unreachable!("FP32 rejected by try_run_gemm"),
+    }
+}
+
+/// Appends `xs` on `q`'s grid: element-wise `q.fake_quantize`, which is
+/// `dequantize(quantize(x))`, through the vectorized slice quantizer, a
+/// cache-resident run at a time.
+fn push_fake_quantized(out: &mut Vec<f32>, xs: &[f32], q: QuantParams) {
+    let simd = SimdMode::from_env();
+    let mut codes = Vec::new();
+    for run in xs.chunks(4096) {
+        q.quantize_codes_into(run, &mut codes, simd);
+        out.extend(codes.iter().map(|&c| q.dequantize(c)));
     }
 }
 

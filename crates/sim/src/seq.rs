@@ -6,17 +6,23 @@ use crate::ecc::{self, Decoded};
 use crate::token::TokenFile;
 use rapid_arch::isa::SeqInstr;
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-/// Per-word SECDED state of an ECC-protected scratchpad. Reads correct
-/// through [`Cell`]s so `Scratchpad::read(&self)` keeps its shared-borrow
-/// signature — exactly like real ECC logic, which corrects on the read
-/// path without a store port.
-#[derive(Debug, Clone)]
+/// SECDED state of an ECC-protected scratchpad, as a sparse overlay on
+/// the decoded `data`. A word's stored codeword is `encode(data[addr])`
+/// unless a flip has struck it since it was last written; only those
+/// struck words keep an explicit codeword here. A clean codeword always
+/// decodes `Clean`, so reading an untouched word returns `data[addr]` —
+/// exactly what a full codeword array would deliver, at no encoding cost.
+/// Reads correct through [`Cell`]s so `Scratchpad::read(&self)` keeps its
+/// shared-borrow signature — exactly like real ECC logic, which corrects
+/// on the read path without a store port.
+#[derive(Debug, Clone, Default)]
 struct EccState {
-    /// The stored 39-bit codeword per element (what the array cells
-    /// actually hold; `data` is the decoded shadow for the fast path).
-    codewords: Vec<u64>,
+    /// The stored 39-bit codeword of every word a flip has touched since
+    /// its last write, by address.
+    struck: BTreeMap<usize, u64>,
     /// Single-bit errors corrected on read.
     sec: Cell<u64>,
     /// Double-bit errors detected on read.
@@ -35,27 +41,30 @@ struct EccState {
 /// parked for the machine to escalate via
 /// [`Scratchpad::take_uncorrectable`]. On clean data the ECC path is
 /// bit-identical to the unprotected path.
+///
+/// The contents are copy-on-write: scratchpads made from one shared image
+/// ([`Scratchpad::from_image`]) read the same memory until one of them
+/// stores or takes an unprotected flip.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
     ecc: Option<EccState>,
 }
 
 impl Scratchpad {
     /// Creates a scratchpad of `n` elements (unprotected).
     pub fn new(n: usize) -> Self {
-        Self { data: vec![0.0; n], ecc: None }
+        Self::from_image(Arc::new(vec![0.0; n]))
     }
 
-    /// Enables SECDED protection, encoding the current contents.
+    /// An unprotected scratchpad holding `image`, shared until written.
+    pub(crate) fn from_image(image: Arc<Vec<f32>>) -> Self {
+        Self { data: image, ecc: None }
+    }
+
+    /// Enables SECDED protection over the current contents.
     pub fn with_ecc(mut self) -> Self {
-        let codewords = self.data.iter().map(|v| ecc::encode(v.to_bits())).collect();
-        self.ecc = Some(EccState {
-            codewords,
-            sec: Cell::new(0),
-            ded: Cell::new(0),
-            pending: Cell::new(None),
-        });
+        self.ecc = Some(EccState::default());
         self
     }
 
@@ -87,10 +96,15 @@ impl Scratchpad {
     /// aimed at the (absent) check bits are no-ops.
     pub fn inject_flip(&mut self, addr: usize, bit: u32) {
         match &mut self.ecc {
-            Some(e) => e.codewords[addr] ^= 1u64 << (bit % ecc::CODEWORD_BITS),
+            Some(e) => {
+                let data = self.data[addr].to_bits();
+                *e.struck.entry(addr).or_insert_with(|| ecc::encode(data)) ^=
+                    1u64 << (bit % ecc::CODEWORD_BITS);
+            }
             None => {
                 if bit < 32 {
-                    self.data[addr] = f32::from_bits(self.data[addr].to_bits() ^ (1 << bit));
+                    let data = Arc::make_mut(&mut self.data);
+                    data[addr] = f32::from_bits(data[addr].to_bits() ^ (1 << bit));
                 }
             }
         }
@@ -109,7 +123,8 @@ impl Scratchpad {
     /// Reads one element, decoding/correcting through ECC when enabled.
     pub fn read(&self, addr: usize) -> f32 {
         let Some(e) = &self.ecc else { return self.data[addr] };
-        match ecc::decode(e.codewords[addr]) {
+        let Some(&cw) = e.struck.get(&addr) else { return self.data[addr] };
+        match ecc::decode(cw) {
             Decoded::Clean => self.data[addr],
             Decoded::CorrectedData(bits) => {
                 e.sec.set(e.sec.get() + 1);
@@ -126,16 +141,28 @@ impl Scratchpad {
                 }
                 // The hardware delivers the (corrupt) raw word; the
                 // escalation path keeps it from being trusted.
-                f32::from_bits(ecc::data_of(e.codewords[addr]))
+                f32::from_bits(ecc::data_of(cw))
             }
         }
     }
 
-    /// Writes one element (re-encoding the codeword when ECC is on).
+    /// The `len` elements from `addr` on, when no word among them has a
+    /// struck codeword — then every read would return the stored value
+    /// and count nothing, so the slice is what `len` [`Scratchpad::read`]s
+    /// would deliver. `None` when some word needs the decoding read path.
+    pub fn clean_slice(&self, addr: usize, len: usize) -> Option<&[f32]> {
+        let range = addr..addr + len;
+        match &self.ecc {
+            Some(e) if e.struck.range(range.clone()).next().is_some() => None,
+            _ => Some(&self.data[range]),
+        }
+    }
+
+    /// Writes one element (a fresh, clean codeword when ECC is on).
     pub fn write(&mut self, addr: usize, v: f32) {
-        self.data[addr] = v;
+        Arc::make_mut(&mut self.data)[addr] = v;
         if let Some(e) = &mut self.ecc {
-            e.codewords[addr] = ecc::encode(v.to_bits());
+            e.struck.remove(&addr);
         }
     }
 
@@ -145,18 +172,11 @@ impl Scratchpad {
     ///
     /// Panics if the region does not fit.
     pub fn store_slice(&mut self, addr: usize, values: &[f32]) {
-        self.data[addr..addr + values.len()].copy_from_slice(values);
+        let range = addr..addr + values.len();
+        Arc::make_mut(&mut self.data)[range.clone()].copy_from_slice(values);
         if let Some(e) = &mut self.ecc {
-            for (i, v) in values.iter().enumerate() {
-                e.codewords[addr + i] = ecc::encode(v.to_bits());
-            }
+            e.struck.retain(|a, _| !range.contains(a));
         }
-    }
-
-    /// Bulk-loads `len` elements starting at `addr` (result readout),
-    /// through the correcting read path.
-    pub fn load_slice(&self, addr: usize, len: usize) -> Vec<f32> {
-        (addr..addr + len).map(|a| self.read(a)).collect()
     }
 }
 
@@ -197,9 +217,27 @@ impl Link {
         true
     }
 
+    /// Pushes a whole slice; the caller has checked [`Link::space`].
+    pub(crate) fn push_slice(&mut self, vs: &[f32]) {
+        debug_assert!(vs.len() <= self.space(), "link overflow");
+        self.queue.extend(vs);
+    }
+
     /// Pops the head element.
     pub fn pop(&mut self) -> Option<f32> {
         self.queue.pop_front()
+    }
+
+    /// Pops up to `max` head elements onto `out`, in order; returns how
+    /// many moved.
+    pub(crate) fn pop_into(&mut self, out: &mut Vec<f32>, max: usize) -> usize {
+        let n = max.min(self.queue.len());
+        let (head, tail) = self.queue.as_slices();
+        let h = n.min(head.len());
+        out.extend_from_slice(&head[..h]);
+        out.extend_from_slice(&tail[..n - h]);
+        self.queue.drain(..n);
+        n
     }
 }
 
@@ -338,11 +376,17 @@ impl Sequencer {
                     let n = (len - self.read_progress)
                         .min(budget_elems)
                         .min(link.space() as u32);
-                    for i in 0..n {
-                        let idx = self.read_progress + i;
-                        let a = addr as usize + (idx as usize) * stride as usize;
-                        let ok = link.push(spad.read(a));
-                        debug_assert!(ok, "space was checked");
+                    let a0 = addr as usize + self.read_progress as usize * stride as usize;
+                    // A unit-stride read of clean words moves as one slice.
+                    let clean = if stride == 1 { spad.clean_slice(a0, n as usize) } else { None };
+                    match clean {
+                        Some(vs) => link.push_slice(vs),
+                        None => {
+                            for i in 0..n as usize {
+                                let ok = link.push(spad.read(a0 + i * stride as usize));
+                                debug_assert!(ok, "space was checked");
+                            }
+                        }
                     }
                     *port_bytes -= f64::from(n) * self.elem_bytes;
                     self.read_progress += n;

@@ -125,9 +125,10 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the byte offset of the first
-    /// malformed construct.
+    /// malformed construct, or of the array or object opening that nests
+    /// deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -184,9 +185,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a few tens of KB of `[`
+/// would overflow the stack and abort the process; the records this
+/// crate writes nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -228,8 +237,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -406,6 +422,23 @@ mod tests {
         for bad in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "12 34", "nul"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_structured_error() {
+        // On a thread with the default stack, where unbounded recursion
+        // overflows long before 100 000 levels.
+        let deep = std::thread::spawn(|| Json::parse(&"[".repeat(100_000)))
+            .join()
+            .expect("parse must not overflow the stack");
+        let err = deep.unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Exactly MAX_DEPTH levels, of both kinds, still parse.
+        let half = MAX_DEPTH / 2;
+        let ok = format!("{}1{}", "[{\"a\":".repeat(half), "}]".repeat(half));
+        assert!(Json::parse(&ok).is_ok());
+        assert!(Json::parse(&format!("[{ok}]")).is_err());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 #                                 RAPID_TRACE, and schema validation of
 #                                 the emitted record via telemetry_report
 #   scripts/check.sh --protection protection gate only: clippy on the
-#                                 protection-touched crates, a timed
+#                                 protection-touched crates, the simulator
+#                                 golden pins and the ECC-overlay
+#                                 equivalence proptest, a timed
 #                                 protection_sweep smoke with --json, and
 #                                 schema validation of its record
 #   scripts/check.sh --simd       SIMD gate only: clippy on the kernel
@@ -89,6 +91,8 @@ protection_gate() {
     echo "== cargo clippy on the protection-touched crates (deny warnings) =="
     cargo clippy -p rapid-numerics -p rapid-sim -p rapid-ring -p rapid-recover \
         -p rapid-arch -p rapid-model -p rapid-fault --all-targets -- -D warnings
+    echo "== simulator golden pins + ECC overlay vs full-codeword reference =="
+    cargo test -q -p rapid-sim --test golden --test ecc_overlay
     echo "== protection_sweep --smoke --json (hard 120s timeout) =="
     cargo build --release -p rapid-bench --bin protection_sweep --bin telemetry_report
     local out="target/protection-gate"
