@@ -1,7 +1,8 @@
 //! Kernel-backend speed benchmark: times the scalar reference kernels
 //! against the portable tiled fast paths (`RAPID_SIMD=off`) and the
 //! vector / bit-sliced backends (`RAPID_SIMD=force`) on the canonical
-//! 128³ GEMM shape (chunk 64), a representative convolution and the two
+//! 128³ GEMM shape (chunk 64), a representative convolution, a ResNet
+//! bottleneck's 1×1 INT4 convolution on post-ReLU activations, and the two
 //! paper GEMVs (an LSTM-step INT4 projection and ResNet-50's FP16 FC,
 //! which take the row-streaming path with its portable and AVX2 inner
 //! loops), checks every fast output bit-for-bit against its scalar
@@ -22,7 +23,7 @@ use rapid_numerics::gemm::{
     ConvScratch, ConvSpec, GemmStats,
 };
 use rapid_numerics::int::Signedness;
-use rapid_numerics::{kernel_matrix_at, IntFormat, QuantParams, SimdMode, Tensor};
+use rapid_numerics::{kernel_matrix_at, IntFormat, NumericsError, QuantParams, SimdMode, Tensor};
 use std::time::Instant;
 
 const CHUNK: usize = 64;
@@ -47,17 +48,42 @@ fn filled(shape: Vec<usize>, seed: u64) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
-/// Best-of-`reps` wall time in milliseconds, plus the (last) output for
-/// the bit-exactness check. One untimed warmup call precedes the reps.
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut out = f();
-    let mut best = f64::INFINITY;
+/// Wall time of one call in milliseconds, with its output.
+fn timed<T>(f: &mut impl FnMut() -> T) -> (T, f64) {
+    let t = Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64() * 1e3)
+}
+
+type KernelOut = (Tensor, GemmStats);
+type FastOut = Result<KernelOut, NumericsError>;
+
+/// Times one group: best-of-`reps` wall time of the scalar reference, the
+/// tiled path (`off`) and the vector path (`force`), after one untimed
+/// warmup call each. The reps are interleaved — scalar, tiled, simd in
+/// every round — so a slow stretch of the host stretches all three
+/// alike instead of one ratio's numerator or denominator. Both fast
+/// results must match the reference bit-for-bit.
+fn time_group(
+    name: &'static str,
+    reps: usize,
+    mut scalar: impl FnMut() -> KernelOut,
+    mut tiled: impl FnMut() -> FastOut,
+    mut simd: impl FnMut() -> FastOut,
+) -> Result<GroupResult, Box<dyn std::error::Error>> {
+    let (mut reference, mut tiled_out, mut simd_out) = (scalar(), tiled(), simd());
+    let (mut scalar_ms, mut tiled_ms, mut simd_ms) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        let (out, ms) = timed(&mut scalar);
+        (reference, scalar_ms) = (out, scalar_ms.min(ms));
+        let (out, ms) = timed(&mut tiled);
+        (tiled_out, tiled_ms) = (out, tiled_ms.min(ms));
+        let (out, ms) = timed(&mut simd);
+        (simd_out, simd_ms) = (out, simd_ms.min(ms));
     }
-    (out, best)
+    assert_bitexact(name, "tiled", &tiled_out?, &reference);
+    assert_bitexact(name, "simd", &simd_out?, &reference);
+    Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
 }
 
 /// Asserts two kernel results agree bit-for-bit (values and stats).
@@ -115,16 +141,13 @@ fn float_group(
     b: &Tensor,
     reps: usize,
 ) -> Result<GroupResult, Box<dyn std::error::Error>> {
-    let (reference, scalar_ms) = best_ms(reps, || matmul_emulated_scalar(mode, a, b, CHUNK));
-    let (tiled, tiled_ms) = best_ms(reps, || {
-        matmul_emulated_with_simd(mode, a, b, CHUNK, SimdMode::Off)
-    });
-    let (simd, simd_ms) = best_ms(reps, || {
-        matmul_emulated_with_simd(mode, a, b, CHUNK, SimdMode::Force)
-    });
-    assert_bitexact(name, "tiled", &tiled?, &reference);
-    assert_bitexact(name, "simd", &simd?, &reference);
-    Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
+    time_group(
+        name,
+        reps,
+        || matmul_emulated_scalar(mode, a, b, CHUNK),
+        || matmul_emulated_with_simd(mode, a, b, CHUNK, SimdMode::Off),
+        || matmul_emulated_with_simd(mode, a, b, CHUNK, SimdMode::Force),
+    )
 }
 
 /// Times one integer GEMM group (madd or bit-sliced under `force`).
@@ -136,14 +159,33 @@ fn int_group(
     reps: usize,
 ) -> Result<GroupResult, Box<dyn std::error::Error>> {
     let q = QuantParams::from_abs_max(fmt, Signedness::Signed, 1.0);
-    let (reference, scalar_ms) = best_ms(reps, || matmul_int_scalar(a, b, q, q, CHUNK));
-    let (tiled, tiled_ms) =
-        best_ms(reps, || matmul_int_with_simd(a, b, q, q, CHUNK, SimdMode::Off));
-    let (simd, simd_ms) =
-        best_ms(reps, || matmul_int_with_simd(a, b, q, q, CHUNK, SimdMode::Force));
-    assert_bitexact(name, "tiled", &tiled?, &reference);
-    assert_bitexact(name, "simd", &simd?, &reference);
-    Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
+    time_group(
+        name,
+        reps,
+        || matmul_int_scalar(a, b, q, q, CHUNK),
+        || matmul_int_with_simd(a, b, q, q, CHUNK, SimdMode::Off),
+        || matmul_int_with_simd(a, b, q, q, CHUNK, SimdMode::Force),
+    )
+}
+
+/// Times one integer convolution group with fresh scratch per call, so
+/// every call pays its own buffer set-up.
+fn int_conv_group(
+    name: &'static str,
+    (input, weight, spec): (&Tensor, &Tensor, ConvSpec),
+    (qa, qw): (QuantParams, QuantParams),
+    reps: usize,
+) -> Result<GroupResult, Box<dyn std::error::Error>> {
+    let fast = |simd| {
+        conv2d_int_with_simd(input, weight, spec, qa, qw, CHUNK, &mut ConvScratch::default(), simd)
+    };
+    time_group(
+        name,
+        reps,
+        || conv2d_int_scalar(input, weight, spec, qa, qw, CHUNK),
+        || fast(SimdMode::Off),
+        || fast(SimdMode::Force),
+    )
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -203,43 +245,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ));
     let input = filled(vec![n, ci, hw_in, hw_in], 0x1234_5678);
     let weight = filled(vec![co, ci, 3, 3], 0x8765_4321);
+    let m = FmaMode::hfp8_fwd_default();
+    let float_conv = |simd| {
+        let mut scratch = ConvScratch::default();
+        conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut scratch, simd)
+    };
+    let signed = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
     let conv_groups = [
-        {
-            let m = FmaMode::hfp8_fwd_default();
-            let (reference, scalar_ms) =
-                best_ms(reps, || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK));
-            let (tiled, tiled_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Off)
-            });
-            let (simd, simd_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Force)
-            });
-            assert_bitexact("conv_hfp8", "tiled", &tiled?, &reference);
-            assert_bitexact("conv_hfp8", "simd", &simd?, &reference);
-            GroupResult { name: "conv_hfp8", scalar_ms, tiled_ms, simd_ms }
-        },
-        {
-            let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
-            let (reference, scalar_ms) =
-                best_ms(reps, || conv2d_int_scalar(&input, &weight, spec, q, q, CHUNK));
-            let (tiled, tiled_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Off)
-            });
-            let (simd, simd_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Force)
-            });
-            assert_bitexact("conv_int4", "tiled", &tiled?, &reference);
-            assert_bitexact("conv_int4", "simd", &simd?, &reference);
-            GroupResult { name: "conv_int4", scalar_ms, tiled_ms, simd_ms }
-        },
+        time_group(
+            "conv_hfp8",
+            reps,
+            || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK),
+            || float_conv(SimdMode::Off),
+            || float_conv(SimdMode::Force),
+        )?,
+        // Signed × signed: the code-domain lowering with per-tap rows and
+        // the kernel's sign trick.
+        int_conv_group("conv_int4", (&input, &weight, spec), (signed, signed), reps)?,
     ];
     for g in &conv_groups {
         g.report(&mut rec);
     }
+
+    // A ResNet bottleneck's 1×1 stride-1 conv on post-ReLU activations:
+    // the code-domain lowering without im2col, unsigned activation codes
+    // on the kernel's u8 side.
+    let (n, ci, hw_in, co) = if smoke { (1, 64, 7, 16) } else { (1, 256, 14, 64) };
+    section(&format!(
+        "conv {n}×{ci}×{hw_in}×{hw_in} (ReLU) · {co}×{ci}×1×1 stride 1 pad 0 \
+         (best of {reps})"
+    ));
+    let relu = filled(vec![n, ci, hw_in, hw_in], 0x3C6E_F372).map(|x| x.max(0.0));
+    let weight = filled(vec![co, ci, 1, 1], 0xA54F_F53A);
+    let unsigned = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Unsigned, 1.0);
+    int_conv_group("conv_int4_relu", (&relu, &weight, ConvSpec::unit()), (unsigned, signed), reps)?
+        .report(&mut rec);
 
     // m = 1 GEMVs take the row-streaming path under every RAPID_SIMD
     // value; off/force pick its portable or AVX2 inner loop.

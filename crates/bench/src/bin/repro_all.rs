@@ -5,7 +5,9 @@
 //!
 //! The experiments are independent processes, so they fan out over the
 //! harness worker pool (`RAPID_THREADS` caps it); each binary's output is
-//! captured and printed in the canonical order once it completes. Each
+//! captured and printed in the canonical order once it completes.
+//! `kernel_speed` alone runs after the pool, on an otherwise idle
+//! machine, because its host timings feed the regression gate below. Each
 //! experiment runs with `RAPID_FAULT_SEED` set to a child seed derived
 //! from the master seed and the experiment name, so fault streams are
 //! reproducible yet independent across experiments.
@@ -28,6 +30,9 @@ use rapid_telemetry::{validate_bench_record, Json, AGGREGATE_SCHEMA};
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
+
+/// The experiment whose host timings feed the kernel-speed gate.
+const KERNEL_SPEED: &str = "kernel_speed";
 
 fn main() -> ExitCode {
     let start = Instant::now();
@@ -79,7 +84,7 @@ fn main() -> ExitCode {
         eprintln!("error: cannot create {}: {e}", json_dir.display());
         return ExitCode::FAILURE;
     }
-    let outputs = try_par_map(&bins, |bin| {
+    let run = |bin: &&str| {
         let path = dir.join(bin);
         match Command::new(&path)
             .env("RAPID_FAULT_SEED", derive_seed(master, bin).to_string())
@@ -90,7 +95,17 @@ fn main() -> ExitCode {
             Ok(out) => (out.status.success(), out.stdout, out.stderr),
             Err(e) => (false, Vec::new(), format!("failed to launch {}: {e}\n", path.display()).into_bytes()),
         }
-    });
+    };
+    // `kernel_speed` times host wall clock and its ratios are gated
+    // below, so it runs alone after the pool: no other experiment shares
+    // the cores while it measures.
+    let (alone, pooled): (Vec<&str>, Vec<&str>) = bins.iter().partition(|&&b| b == KERNEL_SPEED);
+    let mut pooled_out = try_par_map(&pooled, run).into_iter();
+    let mut alone_out = try_par_map(&alone, run).into_iter();
+    let outputs: Vec<_> = bins
+        .iter()
+        .filter_map(|&b| if b == KERNEL_SPEED { alone_out.next() } else { pooled_out.next() })
+        .collect();
     let mut failed: Vec<&str> = Vec::new();
     for (bin, result) in bins.iter().zip(outputs) {
         println!("\n############ {bin} ############");

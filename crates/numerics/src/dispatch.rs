@@ -101,11 +101,13 @@ pub fn popcnt_available() -> bool {
 /// reasonably sized problems.
 pub(crate) const AUTO_MIN_MACS: u64 = 4096;
 
-/// Beyond this reduction depth the INT4 madd kernel's per-lane i32
-/// accumulator could overflow (worst case ≈ 450·k/16 per lane), so `auto`
-/// and `force` both fall back to the tiled path. Far beyond any model
-/// layer; the bound is conservative by ~3 decimal orders.
-pub(crate) const MADD_MAX_K: usize = 1 << 24;
+/// Beyond this reduction depth the integer kernel's i32 sums could
+/// overflow, so `auto` and `force` both fall back to the tiled path. A dot
+/// product of INT4/INT2 codes is at most `225 · k` in magnitude (|code| ≤
+/// 15), and `225 · 2²³ < 2³¹`, so every wrapping i32 lane sum and the
+/// reduction tree end exact (`simd::int_dot_tile`). Far beyond any model
+/// layer.
+pub(crate) const MADD_MAX_K: usize = 1 << 23;
 
 /// Largest row count of A for which a matmul takes the row-streaming GEMV
 /// path (`numerics::gemv`), at every precision and under every `RAPID_SIMD`
@@ -146,15 +148,15 @@ pub(crate) fn float_use_simd(mode: SimdMode, macs: u64) -> bool {
 pub(crate) enum IntKernel {
     /// Packed-panel tiled path (PR 1).
     Tiled,
-    /// AVX2 widening multiply-add over i8 codes.
+    /// AVX2 register-blocked `maddubs` kernel over i8 codes.
     Madd,
     /// Popcount over packed bit-planes (both operands INT2; portable).
     BitSliced,
 }
 
 /// Selects the integer kernel: bit-sliced when both operands are INT2
-/// (portable, no feature gate beyond the knob), the AVX2 madd kernel for
-/// wider codes, tiled otherwise.
+/// (portable, no feature gate beyond the knob), the AVX2 `maddubs` kernel
+/// for wider codes, tiled otherwise.
 pub(crate) fn int_kernel(mode: SimdMode, macs: u64, k: usize, both_int2: bool) -> IntKernel {
     let want = match mode {
         SimdMode::Off => false,
@@ -180,7 +182,7 @@ pub enum KernelBackend {
     Scalar,
     /// Portable tiled + register-blocked fast path (PR 1).
     Tiled,
-    /// AVX2 vector kernel (16-lane float MAC / widening madd).
+    /// AVX2 vector kernel (16-lane float MAC / blocked `maddubs`).
     Simd,
     /// Popcount over packed INT2 bit-planes.
     BitSliced,
@@ -257,12 +259,18 @@ fn int_choice(
             let pop = if popcnt_available() { "hardware popcount" } else { "portable popcount" };
             (
                 KernelBackend::BitSliced,
-                format!("bit-sliced planes, {pop} (RAPID_SIMD={mode})"),
+                format!(
+                    "bit-sliced planes, {pop}; conv runs on NHWC codes, quantized once \
+                     (RAPID_SIMD={mode})"
+                ),
             )
         }
         IntKernel::Madd => (
             KernelBackend::Simd,
-            format!("avx2 widening madd i8→i16→i32 (RAPID_SIMD={mode})"),
+            format!(
+                "avx2 4×2-blocked maddubs u8×i8→i16, madd→i32, one hadd tree per block; \
+                 conv runs on NHWC codes, quantized once (RAPID_SIMD={mode})"
+            ),
         ),
         IntKernel::Tiled => (KernelBackend::Tiled, float_fallback_reason(mode)),
     };

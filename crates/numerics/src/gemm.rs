@@ -185,22 +185,45 @@ pub(crate) fn fp16_round_sum_sel(x: f32) -> f32 {
     f32::from_bits(sign | r)
 }
 
-/// Bitmask of zero positions, one bit per element (LSB-first within each
-/// word). Zero-gating statistics become word-level popcounts instead of a
-/// test per MAC in the hot loops.
-fn zero_mask_into(words: &mut [u64], is_zero: impl Fn(usize) -> bool, len: usize) {
-    words.fill(0);
-    for i in 0..len {
-        if is_zero(i) {
-            words[i / 64] |= 1 << (i % 64);
+/// Non-zero count of every column of a row-major `[rows, k]` matrix: one
+/// compare-and-add pass over the data, which the compiler vectorizes.
+fn nonzeros_per_col<T: Copy>(data: &[T], k: usize, nonzero: impl Fn(T) -> bool) -> Vec<u32> {
+    let mut counts = vec![0u32; k];
+    if k == 0 {
+        return counts;
+    }
+    // Byte-wide partial counts fill a whole vector register per compare;
+    // they are flushed before they can wrap.
+    let mut partial = vec![0u8; k];
+    for rows in data.chunks(k * usize::from(u8::MAX)) {
+        for row in rows.chunks_exact(k) {
+            for (c, &x) in partial.iter_mut().zip(row) {
+                *c += u8::from(nonzero(x));
+            }
+        }
+        for (c, p) in counts.iter_mut().zip(&mut partial) {
+            *c += u32::from(std::mem::take(p));
         }
     }
+    counts
 }
 
-/// Number of MACs gated in a dot product: positions where either operand is
-/// zero, counted as the popcount of the union of the zero masks.
-fn gated_count(za: &[u64], zb: &[u64]) -> u64 {
-    za.iter().zip(zb).map(|(&x, &y)| u64::from((x | y).count_ones())).sum()
+/// Zero-gated MACs of an `[m, k] × [k, n]` product from per-position
+/// non-zero counts (`nz_a[p]` over A's column `p`, `nz_b[p]` over B's row
+/// `p`). At position `p`, `nz_a[p] · nz_b[p]` of the `m · n` MACs have two
+/// non-zero operands and every other one is gated, so
+/// `gated = Σ_p (m·n − nz_a[p]·nz_b[p])` — the same count as popcounting
+/// the union of every row's and column's zero masks, in `O((m + n)·k)`
+/// instead of `O(m·n·k/64)`.
+fn zero_gated(m: usize, n: usize, nz_a: &[u32], nz_b: &[u32]) -> u64 {
+    let mn = (m * n) as u64;
+    nz_a.iter().zip(nz_b).map(|(&a, &b)| mn - u64::from(a) * u64::from(b)).sum()
+}
+
+/// Statistics of an `[m, k] × [k, n]` product whose chunk register cannot
+/// saturate.
+fn product_stats(m: usize, k: usize, n: usize, zero_gated: u64) -> GemmStats {
+    GemmStats { macs: (m * n * k) as u64, zero_gated, ..GemmStats::default() }
 }
 
 /// Runs `work` over horizontal bands of the row-major `m × n` output in
@@ -231,6 +254,21 @@ fn par_rows(
         }
     });
     stats
+}
+
+/// [`par_rows`] for kernels that only fill values; their statistics are
+/// computed once by the caller.
+fn par_fill(
+    od: &mut [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    work: &(impl Fn(usize, &mut [f32]) + Sync),
+) {
+    par_rows(od, m, n, k, &|row0, band| {
+        work(row0, band);
+        GemmStats::default()
+    });
 }
 
 /// Transposes a row-major `[rows, cols]` slice into `[cols, rows]` panels so
@@ -356,7 +394,7 @@ pub fn matmul_emulated_with_simd(
         return Ok((out, stats));
     }
     let use_simd = dispatch::float_use_simd(simd_mode, (m * n * k) as u64);
-    let stats = match (qa.codes(), qb.codes()) {
+    let gated = match (qa.codes(), qb.codes()) {
         (Some(ac), Some(bc)) => {
             // 8-bit operands: every FP9 conversion and operand product is
             // precomputed in a 64K-entry table indexed by the code pair.
@@ -380,11 +418,12 @@ pub fn matmul_emulated_with_simd(
                 let btv: Vec<f32> = bt.iter().map(|&c| ib[usize::from(c)]).collect();
                 (av, interleave_groups(&btv, k, n))
             });
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+            par_fill(out.as_mut_slice(), m, n, k, &|row0, band| {
                 let fdec = fdec.as_ref().map(|(av, bi)| (av.as_slice(), bi.as_slice()));
-                lut_band(ac, &bt, fdec, &products, row0, k, n, chunk_len, band)
-            };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+                lut_band(ac, &bt, fdec, &products, row0, k, n, chunk_len, band);
+            });
+            let nonzero = |c: u8| !is_zero_code(c);
+            zero_gated(m, n, &nonzeros_per_col(ac, k, nonzero), &nonzeros_per_col(&bt, k, nonzero))
         }
         _ => {
             // FP16 operands: the product of two quantized values is exact in
@@ -393,13 +432,14 @@ pub fn matmul_emulated_with_simd(
             let binter =
                 (use_simd && n >= simd::GROUP).then(|| interleave_groups(&bt, k, n));
             let av = qa.values().as_slice();
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                fp16_band(av, &bt, binter.as_deref(), row0, k, n, chunk_len, band)
-            };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+            par_fill(out.as_mut_slice(), m, n, k, &|row0, band| {
+                fp16_band(av, &bt, binter.as_deref(), row0, k, n, chunk_len, band);
+            });
+            let nonzero = |v: f32| v != 0.0;
+            zero_gated(m, n, &nonzeros_per_col(av, k, nonzero), &nonzeros_per_col(&bt, k, nonzero))
         }
     };
-    Ok((out, stats))
+    Ok((out, product_stats(m, k, n, gated)))
 }
 
 /// Small-m float matmul through the row-streaming kernels of
@@ -456,10 +496,9 @@ fn interleave_groups<T: Copy + Default>(bt: &[T], k: usize, n: usize) -> Vec<T> 
     out
 }
 
-/// Fills one row band of an 8-bit-operand GEMM from the product LUT.
-///
-/// Zero-gating statistics come from per-row/per-column zero bitmasks
-/// (popcounts of their unions), keeping the MAC loop free of counting.
+/// Fills one row band of an 8-bit-operand GEMM from the product LUT. The
+/// caller counts zero-gating from per-position zero counts
+/// ([`zero_gated`]), keeping the MAC loop free of counting.
 #[allow(clippy::too_many_arguments)]
 fn lut_band(
     ac: &[u8],
@@ -471,24 +510,12 @@ fn lut_band(
     n: usize,
     chunk_len: usize,
     band: &mut [f32],
-) -> GemmStats {
+) {
     #[allow(clippy::expect_used)] // LUT size is a construction invariant
     let products: &[f32; 1 << 16] = products.try_into().expect("product LUT is 64K entries");
     let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        let col = &bt[j * k..(j + 1) * k];
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| is_zero_code(col[p]), k);
-    }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
     for r in 0..rows {
         let arow = &ac[(row0 + r) * k..(row0 + r + 1) * k];
-        zero_mask_into(&mut za, |p| is_zero_code(arow[p]), k);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
-        }
         let orow = &mut band[r * n..(r + 1) * n];
         let mut j = 0;
         if let Some((av, bi)) = fdec {
@@ -528,7 +555,6 @@ fn lut_band(
             j += 1;
         }
     }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
 }
 
 /// Chunk-accumulated dot products of one A-row of codes against `B`
@@ -580,8 +606,8 @@ fn dot_lut_block<const B: usize>(
     std::array::from_fn(|t| fp16_round_sum(outer[t] + chunk[t]))
 }
 
-/// Fills one row band of an FP16-operand GEMM on lattice values, with the
-/// same popcount-based gating statistics as [`lut_band`].
+/// Fills one row band of an FP16-operand GEMM on lattice values (gating
+/// counted by the caller, as for [`lut_band`]).
 #[allow(clippy::too_many_arguments)]
 fn fp16_band(
     av: &[f32],
@@ -592,22 +618,10 @@ fn fp16_band(
     n: usize,
     chunk_len: usize,
     band: &mut [f32],
-) -> GemmStats {
+) {
     let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        let col = &bt[j * k..(j + 1) * k];
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| col[p] == 0.0, k);
-    }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
     for r in 0..rows {
         let arow = &av[(row0 + r) * k..(row0 + r + 1) * k];
-        zero_mask_into(&mut za, |p| arow[p] == 0.0, k);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
-        }
         let orow = &mut band[r * n..(r + 1) * n];
         let mut j = 0;
         if let Some(bi) = binter {
@@ -641,7 +655,6 @@ fn fp16_band(
             j += 1;
         }
     }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
 }
 
 /// FP16-mode analogue of [`dot_lut_block`]: products of two FP16 lattice
@@ -947,34 +960,48 @@ pub fn matmul_int_with_simd(
     }
     let macs = (m * n * k) as u64;
     let both_int2 = qa.format() == IntFormat::Int2 && qb.format() == IntFormat::Int2;
-    let stats = match dispatch::int_kernel(simd_mode, macs, k, both_int2) {
+    let cbt = transposed_panels(&cb, k, n);
+    let od = out.as_mut_slice();
+    match dispatch::int_kernel(simd_mode, macs, k, both_int2) {
         dispatch::IntKernel::Tiled => {
-            let cbt = transposed_panels(&cb, k, n);
             let pa = PackedPanel::pack(&ca, m, k, qa);
             let pb = PackedPanel::pack(&cbt, n, k, qb);
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                int_band(&pa, &pb, row0, k, n, chunk_len, out_scale, band)
-            };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+            par_fill(od, m, n, k, &|row0, band| {
+                int_band(&pa, &pb, row0, k, n, chunk_len, out_scale, band);
+            });
         }
         dispatch::IntKernel::Madd => {
-            let cbt = transposed_panels(&cb, k, n);
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                madd_band(&ca, &cbt, row0, k, n, out_scale, band)
-            };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+            let kp = k.next_multiple_of(simd::INT_KSTEP);
+            let (pa, pb) = (pad_cols(&ca, k, kp), pad_cols(&cbt, k, kp));
+            let sides = simd::IntSides::of(qa.signedness(), qb.signedness());
+            par_fill(od, m, n, k, &|row0, band| {
+                let rows = band.len() / n;
+                simd::int_dot_tile(sides, &pa[row0 * kp..], rows, &pb, n, kp, out_scale, band, n);
+            });
         }
         dispatch::IntKernel::BitSliced => {
-            let cbt = transposed_panels(&cb, k, n);
             let pa = bitslice::BitPlanes::pack(&ca, m, k, qa.signedness());
             let pb = bitslice::BitPlanes::pack(&cbt, n, k, qb.signedness());
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                bitslice_band(&pa, &pb, row0, k, n, out_scale, band)
-            };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+            par_fill(od, m, n, k, &|row0, band| bitslice_band(&pa, &pb, row0, n, out_scale, band));
         }
-    };
-    Ok((out, stats))
+    }
+    let nonzero = |c: i8| c != 0;
+    let (nz_a, nz_b) = (nonzeros_per_col(&ca, k, nonzero), nonzeros_per_col(&cbt, k, nonzero));
+    let gated = zero_gated(m, n, &nz_a, &nz_b);
+    Ok((out, product_stats(m, k, n, gated)))
+}
+
+/// Copies a row-major `[rows, k]` code matrix into `[rows, kp]` with each
+/// row's tail zero-filled, the padded layout of the integer SIMD kernel.
+fn pad_cols(codes: &[i8], k: usize, kp: usize) -> std::borrow::Cow<'_, [i8]> {
+    if k == kp {
+        return codes.into();
+    }
+    let mut out = vec![0i8; codes.len() / k * kp];
+    for (dst, src) in out.chunks_exact_mut(kp).zip(codes.chunks_exact(k)) {
+        dst[..k].copy_from_slice(src);
+    }
+    out.into()
 }
 
 /// Scalar reference for [`matmul_int`]: drives an [`IntAccumulator`] per
@@ -1175,7 +1202,7 @@ impl PackedPanel {
 /// The packed B panel is decoded once per band and each packed A row once
 /// per row; the dot products then run branch-free over `i8` codes (a gated
 /// MAC contributes a zero product, so only the statistics need the gate,
-/// and those come from zero-mask popcounts).
+/// and the caller counts those from per-position zero counts).
 #[allow(clippy::too_many_arguments)]
 fn int_band(
     pa: &PackedPanel,
@@ -1186,95 +1213,38 @@ fn int_band(
     chunk_len: usize,
     out_scale: f32,
     band: &mut [f32],
-) -> GemmStats {
+) {
     let rows = band.len() / n;
-    let words = k.div_ceil(64);
     let mut bdec = vec![0i8; n * k];
-    let mut zb = vec![0u64; n * words];
     for j in 0..n {
-        let col = &mut bdec[j * k..(j + 1) * k];
-        pb.decode_row_into(j, col);
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| col[p] == 0, k);
+        pb.decode_row_into(j, &mut bdec[j * k..(j + 1) * k]);
     }
     let mut adec = vec![0i8; k];
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
     for r in 0..rows {
         pa.decode_row_into(row0 + r, &mut adec);
-        zero_mask_into(&mut za, |p| adec[p] == 0, k);
         let orow = &mut band[r * n..(r + 1) * n];
         for (j, o) in orow.iter_mut().enumerate() {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
             let dot = dot_int_windows(&adec, &bdec[j * k..(j + 1) * k], chunk_len);
             *o = dot as f32 * out_scale;
         }
     }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
-}
-
-/// Fills one row band of an integer GEMM with the AVX2 widening-madd
-/// kernel. Only called when the chunk guard rules out INT16 saturation,
-/// where the windowed sum equals the plain dot product, so the whole-k
-/// vector sum is bit-exact. Operands are unpacked `i8` codes — the madd
-/// kernel reads them directly, so no panel packing/decoding is needed.
-fn madd_band(
-    ca: &[i8],
-    cbt: &[i8],
-    row0: usize,
-    k: usize,
-    n: usize,
-    out_scale: f32,
-    band: &mut [f32],
-) -> GemmStats {
-    let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        let col = &cbt[j * k..(j + 1) * k];
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| col[p] == 0, k);
-    }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
-    for r in 0..rows {
-        let arow = &ca[(row0 + r) * k..(row0 + r + 1) * k];
-        zero_mask_into(&mut za, |p| arow[p] == 0, k);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
-        }
-        simd::dot_int_madd_rows(arow, &cbt[..n * k], out_scale, &mut band[r * n..(r + 1) * n]);
-    }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
 }
 
 /// Fills one row band of an INT2×INT2 GEMM from packed bit-planes: each
 /// dot product is four AND+popcount passes over `u64` words
-/// ([`crate::bitslice`]), and the zero-gating masks fall out of the planes
-/// for free. Same saturation-free-guard contract as [`madd_band`].
+/// ([`crate::bitslice`]). Only called when the chunk guard rules out INT16
+/// saturation, like [`simd::int_dot_tile`].
 fn bitslice_band(
     pa: &bitslice::BitPlanes,
     pb: &bitslice::BitPlanes,
     row0: usize,
-    k: usize,
     n: usize,
     out_scale: f32,
     band: &mut [f32],
-) -> GemmStats {
-    let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        pb.zero_mask_into(j, k, &mut zb[j * words..(j + 1) * words]);
+) {
+    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+        bitslice::dot_planes_row(pa, row0 + r, pb, out_scale, orow);
     }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
-    for r in 0..rows {
-        pa.zero_mask_into(row0 + r, k, &mut za);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
-        }
-        bitslice::dot_planes_row(pa, row0 + r, pb, out_scale, &mut band[r * n..(r + 1) * n]);
-    }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
 }
 
 /// Chunk-windowed integer dot product over decoded codes: i32 sums per
@@ -1391,14 +1361,36 @@ struct ConvKey {
     pad: usize,
 }
 
+/// One geometry's buffers. The float and tiled paths use `cols`; the
+/// code-domain integer path uses the byte buffers, reused across calls so
+/// that no call pays fresh pages for them.
+#[derive(Debug, Default, Clone)]
+struct ConvSlot {
+    /// The f32 im2col matrix.
+    cols: Tensor,
+    /// Input codes in the input's own `[n, ci, h, w]` order.
+    nchw: Vec<i8>,
+    /// Zero-bordered NHWC input codes, channels padded to a multiple of
+    /// [`simd::INT_KSTEP`]. Each call rewrites only the interior, so the
+    /// border and the padded channels stay zero.
+    nhwc: Vec<i8>,
+    /// One image's code rows `[ho·wo, kh·kw·cp]`, built from `nhwc`.
+    rows: Vec<i8>,
+    /// Weight codes in the weight's own `[co, ci, kh, kw]` order.
+    wcodes: Vec<i8>,
+    /// Weight code rows `[co, kh·kw·cp]`. Only real channels are ever
+    /// written, so the padded ones stay zero.
+    wrows: Vec<i8>,
+}
+
 /// Reusable scratch buffers for the convolution kernels: holds im2col
-/// matrices keyed by input geometry so repeated forward passes (training
-/// loops, sweeps, networks with alternating layer shapes) stop paying a
-/// fresh allocation per call.
+/// matrices (f32, or integer codes) keyed by input geometry so repeated
+/// forward passes (training loops, sweeps, networks with alternating layer
+/// shapes) stop paying a fresh allocation per call.
 #[derive(Debug, Default, Clone)]
 pub struct ConvScratch {
-    /// MRU-ordered `(key, buffer)` slots, at most [`Self::MAX_SLOTS`].
-    slots: Vec<(ConvKey, Tensor)>,
+    /// MRU-ordered `(key, buffers)` slots, at most [`Self::MAX_SLOTS`].
+    slots: Vec<(ConvKey, ConvSlot)>,
 }
 
 impl ConvScratch {
@@ -1411,10 +1403,10 @@ impl ConvScratch {
         self.slots.len()
     }
 
-    /// The im2col buffer for this geometry, moved to the front (MRU). A
-    /// new, empty slot is created on first sight; beyond
-    /// [`Self::MAX_SLOTS`] the least-recently-used buffer is evicted.
-    fn cols_slot(&mut self, input: &Tensor, kh: usize, kw: usize, spec: ConvSpec) -> &mut Tensor {
+    /// The buffers for this geometry, moved to the front (MRU). A new,
+    /// empty slot is created on first sight; beyond [`Self::MAX_SLOTS`]
+    /// the least-recently-used slot is evicted.
+    fn slot(&mut self, input: &Tensor, kh: usize, kw: usize, spec: ConvSpec) -> &mut ConvSlot {
         let s = input.shape();
         let key = ConvKey {
             in_shape: [s[0], s[1], s[2], s[3]],
@@ -1427,7 +1419,7 @@ impl ConvScratch {
             let slot = self.slots.remove(pos);
             self.slots.insert(0, slot);
         } else {
-            self.slots.insert(0, (key, Tensor::default()));
+            self.slots.insert(0, (key, ConvSlot::default()));
             self.slots.truncate(Self::MAX_SLOTS);
         }
         &mut self.slots[0].1
@@ -1599,10 +1591,22 @@ pub fn conv2d_int_with_scratch(
         .expect("inconsistent conv operand shapes")
 }
 
-/// [`conv2d_int_with_scratch`] under an explicit vectorization policy,
-/// panel-packed in the SIMD regime like [`conv2d_emulated_with_simd`].
-/// Falls back to the flat GEMM path whenever the chunk guard makes INT16
-/// saturation possible (the saturating accumulator must then be modeled).
+/// [`conv2d_int_with_scratch`] under an explicit vectorization policy.
+///
+/// In the SIMD and bit-sliced regimes the convolution works on codes from
+/// the start: the `[n, ci, h, w]` input is quantized once — not the
+/// `kh·kw`-times larger im2col matrix — into a zero-bordered NHWC byte
+/// buffer with channels padded to a multiple of 32, and the weights are
+/// quantized with their reduction axis permuted to (tap, channel) to
+/// match. Quantization is elementwise with `quantize(0.0) == 0`, so the
+/// codes are exactly the im2col matrix's codes, and integer sums do not
+/// depend on order, so the values are bit-identical. A 1×1 stride-1
+/// unpadded conv then multiplies the NHWC buffer directly; any other conv
+/// builds each image's rows from one `kw·cp`-byte copy per kernel row.
+/// The tiled regime (`RAPID_SIMD=off`, or below the `auto` size gate)
+/// keeps the f32 im2col GEMM, and so does any chunk length that makes
+/// INT16 saturation possible (the saturating accumulator must then be
+/// modeled).
 ///
 /// # Errors
 ///
@@ -1636,7 +1640,7 @@ pub fn conv2d_int_with_simd(
         dispatch::IntKernel::Tiled => conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
             matmul_int_with_simd(cols, wmat, qa, qw, chunk_len, simd_mode)
         }),
-        kernel => conv2d_panels_int(input, weight, spec, qa, qw, scratch, kernel, simd_mode),
+        kernel => conv2d_codes_int(input, weight, spec, qa, qw, scratch, kernel, simd_mode),
     }
 }
 
@@ -1667,7 +1671,7 @@ fn conv2d_via_gemm(
     let (n, ci, co, kh, kw) = (g.n, g.ci, g.co, g.kh, g.kw);
     let ho = spec.out_dim(g.h, kh);
     let wo = spec.out_dim(g.w, kw);
-    let cols = scratch.cols_slot(input, kh, kw, spec);
+    let cols = &mut scratch.slot(input, kh, kw, spec).cols;
     im2col_into(input, kh, kw, spec, cols);
     #[allow(clippy::expect_used)] // reshape cannot fail: same element count
     let wmat = weight
@@ -1716,7 +1720,7 @@ fn conv2d_panels_emulated(
     let wo = spec.out_dim(g.w, g.kw);
     let hw = ho * wo;
     let kcols = g.ci * g.kh * g.kw;
-    let cols = scratch.cols_slot(input, g.kh, g.kw, spec);
+    let cols = &mut scratch.slot(input, g.kh, g.kw, spec).cols;
     im2col_into(input, g.kh, g.kw, spec, cols);
     let (fa, fb) = mode.operand_formats();
     let wmat = weight.clone().reshape(vec![g.co, kcols])?;
@@ -1727,7 +1731,7 @@ fn conv2d_panels_emulated(
         return Ok((out, GemmStats::default()));
     }
     let use_simd = dispatch::float_use_simd(simd_mode, (g.n * hw * g.co * kcols) as u64);
-    let mut stats = GemmStats::default();
+    let mut gated = 0u64;
     let od = out.as_mut_slice();
     match (qw.codes(), qc.codes()) {
         (Some(wc), Some(cc)) => {
@@ -1741,6 +1745,8 @@ fn conv2d_panels_emulated(
                 let ia = lut.a_operands();
                 wc.iter().map(|&c| ia[usize::from(c)]).collect()
             });
+            let nonzero = |c: u8| !is_zero_code(c);
+            let nzw = nonzeros_per_col(wc, kcols, nonzero);
             for i in 0..g.n {
                 let bt = &cc[i * hw * kcols..(i + 1) * hw * kcols];
                 let binter = wv.as_ref().map(|_| {
@@ -1749,40 +1755,43 @@ fn conv2d_panels_emulated(
                     interleave_groups(&btv, kcols, hw)
                 });
                 let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
-                let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+                par_fill(band_out, g.co, hw, kcols, &|row0, band| {
                     let fdec = wv
                         .as_ref()
                         .zip(binter.as_ref())
                         .map(|(av, bi)| (av.as_slice(), bi.as_slice()));
-                    lut_band(wc, bt, fdec, &products, row0, kcols, hw, chunk_len, band)
-                };
-                stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
+                    lut_band(wc, bt, fdec, &products, row0, kcols, hw, chunk_len, band);
+                });
+                gated += zero_gated(g.co, hw, &nzw, &nonzeros_per_col(bt, kcols, nonzero));
             }
         }
         _ => {
             let wv = qw.values().as_slice();
             let cv = qc.values().as_slice();
+            let nonzero = |v: f32| v != 0.0;
+            let nzw = nonzeros_per_col(wv, kcols, nonzero);
             for i in 0..g.n {
                 let bt = &cv[i * hw * kcols..(i + 1) * hw * kcols];
                 let binter =
                     (use_simd && hw >= simd::GROUP).then(|| interleave_groups(bt, kcols, hw));
                 let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
-                let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                    fp16_band(wv, bt, binter.as_deref(), row0, kcols, hw, chunk_len, band)
-                };
-                stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
+                par_fill(band_out, g.co, hw, kcols, &|row0, band| {
+                    fp16_band(wv, bt, binter.as_deref(), row0, kcols, hw, chunk_len, band);
+                });
+                gated += zero_gated(g.co, hw, &nzw, &nonzeros_per_col(bt, kcols, nonzero));
             }
         }
     }
-    Ok((out, stats))
+    Ok((out, product_stats(g.n * hw, kcols, g.co, gated)))
 }
 
-/// Panel-packed integer convolution: same orientation as
-/// [`conv2d_panels_emulated`], with whole-k madd or bit-sliced dot
-/// products. Only called when the chunk guard rules out INT16 saturation,
-/// so `kernel` is never [`dispatch::IntKernel::Tiled`].
+/// Code-domain integer convolution (see [`conv2d_int_with_simd`]): per
+/// image `i`, `out[i] = weights [co, kh·kw·cp] × rows(i)ᵀ` over i8 codes,
+/// band-parallel over output channels and written straight into the
+/// `[n, co, ho, wo]` buffer. Only called when the chunk guard rules out
+/// INT16 saturation, so `kernel` is never [`dispatch::IntKernel::Tiled`].
 #[allow(clippy::too_many_arguments)]
-fn conv2d_panels_int(
+fn conv2d_codes_int(
     input: &Tensor,
     weight: &Tensor,
     spec: ConvSpec,
@@ -1793,52 +1802,118 @@ fn conv2d_panels_int(
     simd_mode: SimdMode,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let g = check_conv_shapes(input, weight)?;
-    let ho = spec.out_dim(g.h, g.kh);
-    let wo = spec.out_dim(g.w, g.kw);
-    let hw = ho * wo;
-    let kcols = g.ci * g.kh * g.kw;
-    let cols = scratch.cols_slot(input, g.kh, g.kw, spec);
-    im2col_into(input, g.kh, g.kw, spec, cols);
-    // Weight is already [co][ci·kh·kw] row-major; quantize both flat.
-    let mut cw = Vec::new();
-    let mut cc = Vec::new();
-    qw.quantize_codes_into(weight.as_slice(), &mut cw, simd_mode);
-    qa.quantize_codes_into(cols.as_slice(), &mut cc, simd_mode);
+    let (ho, wo) = (spec.out_dim(g.h, g.kh), spec.out_dim(g.w, g.kw));
+    let (hw, taps) = (ho * wo, g.kh * g.kw);
+    let cp = g.ci.next_multiple_of(simd::INT_KSTEP);
+    let kp = taps * cp;
+    let mut out = Tensor::zeros(vec![g.n, g.co, ho, wo]);
+    if out.as_slice().is_empty() || kp == 0 {
+        return Ok((out, GemmStats::default()));
+    }
+    let ConvSlot { nchw, nhwc, rows, wcodes, wrows, .. } = scratch.slot(input, g.kh, g.kw, spec);
+    // Weight row `o` holds w[o, c, ky, kx] at (ky·kw + kx)·cp + c: the
+    // quantized weights as they are for a 1×1 kernel over a multiple of
+    // 32 channels, else permuted into `wrows`.
+    qw.quantize_codes_into(weight.as_slice(), wcodes, simd_mode);
+    let wq: &[i8] = if taps == 1 && cp == g.ci {
+        wcodes
+    } else {
+        wrows.resize(g.co * kp, 0);
+        for (wrow, src) in wrows.chunks_exact_mut(kp).zip(wcodes.chunks_exact(g.ci * taps)) {
+            for (t, dst) in wrow.chunks_exact_mut(cp).enumerate() {
+                for (c, d) in dst[..g.ci].iter_mut().enumerate() {
+                    *d = src[c * taps + t];
+                }
+            }
+        }
+        wrows
+    };
+    // The bordered extent holds every tap of every output position (it
+    // exceeds `h + 2·pad` only when the kernel is taller than that).
+    let hp = (g.h + 2 * spec.pad).max((ho - 1) * spec.stride + g.kh);
+    let wp = (g.w + 2 * spec.pad).max((wo - 1) * spec.stride + g.kw);
+    let img_len = hp * wp * cp;
+    qa.quantize_codes_into(input.as_slice(), nchw, simd_mode);
+    if nhwc.len() != g.n * img_len {
+        *nhwc = vec![0; g.n * img_len];
+    }
+    let plane = g.h * g.w;
+    if plane > 0 {
+        for (img, src) in nhwc.chunks_exact_mut(img_len).zip(nchw.chunks_exact(g.ci * plane)) {
+            for y in 0..g.h {
+                let row = &mut img[((y + spec.pad) * wp + spec.pad) * cp..][..g.w * cp];
+                for (x, dst) in row.chunks_exact_mut(cp).enumerate() {
+                    let at = y * g.w + x;
+                    for (c, d) in dst[..g.ci].iter_mut().enumerate() {
+                        *d = src[c * plane + at];
+                    }
+                }
+            }
+        }
+    }
     // Same expression (and f32 rounding) as the flat path's
     // `qa.scale() * qb.scale()` with A = cols, B = weights.
     let out_scale = qa.scale() * qw.scale();
-    let mut out = Tensor::zeros(vec![g.n, g.co, ho, wo]);
-    if out.as_slice().is_empty() {
-        return Ok((out, GemmStats::default()));
-    }
-    let mut stats = GemmStats::default();
+    let nonzero = |c: i8| c != 0;
+    // Gating counts the real positions only: spatial padding counts as
+    // zeros, as in the im2col matrix; padded channels are skipped.
+    let real = |counts: Vec<u32>| -> Vec<u32> {
+        counts.chunks_exact(cp).flat_map(|t| &t[..g.ci]).copied().collect()
+    };
+    let nzw = real(nonzeros_per_col(wq, kp, nonzero));
+    let kcols = g.ci * taps;
+    let direct = taps == 1 && spec.stride == 1 && spec.pad == 0;
+    let planes_w = (kernel == dispatch::IntKernel::BitSliced)
+        .then(|| bitslice::BitPlanes::pack(wq, g.co, kp, qw.signedness()));
+    let sides = simd::IntSides::of(qw.signedness(), qa.signedness());
+    let mut gated = 0u64;
     let od = out.as_mut_slice();
-    if kernel == dispatch::IntKernel::BitSliced {
-        let pw = bitslice::BitPlanes::pack(&cw, g.co, kcols, qw.signedness());
-        for i in 0..g.n {
-            let pc = bitslice::BitPlanes::pack(
-                &cc[i * hw * kcols..(i + 1) * hw * kcols],
-                hw,
-                kcols,
-                qa.signedness(),
-            );
-            let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                bitslice_band(&pw, &pc, row0, kcols, hw, out_scale, band)
-            };
-            stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
-        }
-    } else {
-        for i in 0..g.n {
-            let bt = &cc[i * hw * kcols..(i + 1) * hw * kcols];
-            let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                madd_band(&cw, bt, row0, kcols, hw, out_scale, band)
-            };
-            stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
+    for (i, img) in nhwc.chunks_exact(img_len).enumerate() {
+        let xr: &[i8] = if direct {
+            img
+        } else {
+            im2col_codes(img, wp, cp, (g.kh, g.kw), spec.stride, (ho, wo), rows);
+            rows
+        };
+        gated += zero_gated(g.co, hw, &nzw, &real(nonzeros_per_col(xr, kp, nonzero)));
+        let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
+        if let Some(pw) = &planes_w {
+            let px = bitslice::BitPlanes::pack(xr, hw, kp, qa.signedness());
+            par_fill(band_out, g.co, hw, kcols, &|row0, band| {
+                bitslice_band(pw, &px, row0, hw, out_scale, band);
+            });
+        } else {
+            par_fill(band_out, g.co, hw, kcols, &|row0, band| {
+                let co = band.len() / hw;
+                simd::int_dot_tile(sides, &wq[row0 * kp..], co, xr, hw, kp, out_scale, band, hw);
+            });
         }
     }
-    Ok((out, stats))
+    Ok((out, product_stats(g.n * hw, kcols, g.co, gated)))
+}
+
+/// Lowers one zero-bordered NHWC code image (`wp` positions per row, `cp`
+/// bytes per position) into `[ho·wo, kh·kw·cp]` rows. The `kw` taps of a
+/// kernel row sit side by side in the image, so each kernel row is one
+/// copy.
+fn im2col_codes(
+    img: &[i8],
+    wp: usize,
+    cp: usize,
+    (kh, kw): (usize, usize),
+    stride: usize,
+    (ho, wo): (usize, usize),
+    rows: &mut Vec<i8>,
+) {
+    let span = kw * cp;
+    rows.resize(ho * wo * kh * span, 0);
+    for (pos, row) in rows.chunks_exact_mut(kh * span).enumerate() {
+        let (oy, ox) = (pos / wo, pos % wo);
+        for (ky, dst) in row.chunks_exact_mut(span).enumerate() {
+            let src = ((oy * stride + ky) * wp + ox * stride) * cp;
+            dst.copy_from_slice(&img[src..src + span]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1906,6 +1981,91 @@ mod tests {
         let (_, stats) = matmul_fp16(&a, &b, 64);
         let frac = stats.gated_fraction();
         assert!((frac - 0.5).abs() < 0.05, "gated fraction {frac}");
+    }
+
+    /// The per-position identity `Σ_p (m·n − nz_a[p]·nz_b[p])` equals the
+    /// pairwise count it replaces — the popcount of the union of every A
+    /// row's and B column's zero masks — on random masks of several
+    /// densities, with depths that leave a partial last 64-bit word.
+    #[test]
+    fn gating_identity_matches_pairwise_popcount() {
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let shapes: [(usize, usize, usize); 5] =
+            [(1, 1, 1), (3, 63, 5), (7, 65, 4), (9, 130, 11), (2, 200, 17)];
+        for (m, k, n) in shapes {
+            for density in [0u64, 3, 8, 16] {
+                // A [m, k] and B [k, n] zero masks (true = zero), one in
+                // 16 entries zero per density step, all zero at 16.
+                let mut zero = |_| next() % 16 < density;
+                let za: Vec<bool> = (0..m * k).map(&mut zero).collect();
+                let zb: Vec<bool> = (0..k * n).map(&mut zero).collect();
+                let words = k.div_ceil(64);
+                let pack = |bits: &mut dyn Iterator<Item = bool>| -> Vec<u64> {
+                    let mut w = vec![0u64; words];
+                    for (p, z) in bits.enumerate() {
+                        w[p / 64] |= u64::from(z) << (p % 64);
+                    }
+                    w
+                };
+                let mut pairwise = 0u64;
+                for i in 0..m {
+                    let a = pack(&mut (0..k).map(|p| za[i * k + p]));
+                    for j in 0..n {
+                        let b = pack(&mut (0..k).map(|p| zb[p * n + j]));
+                        let union = a.iter().zip(&b).map(|(x, y)| u64::from((x | y).count_ones()));
+                        pairwise += union.sum::<u64>();
+                    }
+                }
+                let a_codes: Vec<i8> = za.iter().map(|&z| i8::from(!z)).collect();
+                let bt_codes: Vec<i8> =
+                    (0..n * k).map(|i| i8::from(!zb[(i % k) * n + i / k])).collect();
+                let nz = |c: i8| c != 0;
+                let nz_a = nonzeros_per_col(&a_codes, k, nz);
+                let nz_b = nonzeros_per_col(&bt_codes, k, nz);
+                let identity = zero_gated(m, n, &nz_a, &nz_b);
+                assert_eq!(identity, pairwise, "m {m} k {k} n {n} density {density}/16");
+            }
+        }
+    }
+
+    /// The blocked integer GEMM (m past the row-streaming bound, so the
+    /// `maddubs` kernel, the bit-sliced kernel or the tiled path runs) on
+    /// depths that are not a multiple of the kernel's 32-code step, for
+    /// every signedness pair and both backend pins, with an all-zero A
+    /// row and an all-zero B column.
+    #[test]
+    fn blocked_int_gemm_pads_ragged_depths_bit_exactly() {
+        for (m, k, n) in [(9usize, 45usize, 11usize), (13, 77, 6), (17, 33, 19)] {
+            let mut a = rand_mat(m, k, 40);
+            let mut b = rand_mat(k, n, 41);
+            a.as_mut_slice()[2 * k..3 * k].fill(0.0);
+            for p in 0..k {
+                b.as_mut_slice()[p * n + 1] = 0.0;
+            }
+            for fmt in [IntFormat::Int4, IntFormat::Int2] {
+                for (sa, sb) in [
+                    (Signedness::Signed, Signedness::Signed),
+                    (Signedness::Signed, Signedness::Unsigned),
+                    (Signedness::Unsigned, Signedness::Signed),
+                    (Signedness::Unsigned, Signedness::Unsigned),
+                ] {
+                    let qa = QuantParams::from_abs_max(fmt, sa, a.max_abs());
+                    let qb = QuantParams::from_abs_max(fmt, sb, b.max_abs());
+                    let (scalar, ss) = matmul_int_scalar(&a, &b, qa, qb, 64);
+                    for simd in [SimdMode::Force, SimdMode::Off] {
+                        let (fast, fs) = matmul_int_with_simd(&a, &b, qa, qb, 64, simd).unwrap();
+                        assert_bits_eq(&fast, &scalar);
+                        assert_eq!(fs, ss, "{m}×{k}×{n} {fmt:?} {sa:?}×{sb:?} {simd:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

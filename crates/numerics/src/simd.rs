@@ -15,12 +15,14 @@
 //!   table. A gather variant was tried first; at ~3 cycles per 8-lane
 //!   gather (the per-step index row is only 1 KiB, L1-resident) it was
 //!   strictly slower than the multiply it replaces.
-//! * [`dot_int_madd_rows`] / [`dot_int_madd`] — whole-k integer dot
-//!   products over `i8` codes: sign-extend 16 codes to i16, `vpmaddwd`
-//!   pairs into i32 lanes, horizontal-reduce to i64. Only called when the
-//!   chunk guard rules out INT16 saturation, where the windowed tiled sum
-//!   equals the plain dot product exactly (order-independent integer
-//!   addition), so the result is bit-identical.
+//! * [`int_dot_tile`] — exact integer dot products over `i8` codes,
+//!   register-blocked 4 lhs rows × 2 rhs rows: `maddubs` multiplies
+//!   unsigned by signed bytes into i16 pairs, `madd(·, 1)` widens them
+//!   into i32 lanes, and one horizontal-add tree reduces all eight
+//!   accumulators of a block. Only called when the chunk guard rules out
+//!   INT16 saturation, where the windowed tiled sum equals the plain dot
+//!   product exactly (order-independent integer addition), so the result
+//!   is bit-identical.
 //!
 //! The float kernels are **latency-bound**, not throughput-bound: each
 //! chunk register advances through `vaddps` + the ~12-op rounding sequence
@@ -36,7 +38,7 @@
 //! value — or `0`, `±MIN_NORMAL` — returns it unchanged), so the chunk
 //! registers would come back bit-identical. The integer kernels amortize
 //! per-call overhead (and the `#[target_feature]` call boundary) by
-//! computing a whole output row per call.
+//! computing a whole output tile per call.
 //!
 //! Bit-exactness of the float kernels rests on two facts: `vaddps` /
 //! `vmulps` are IEEE single ops identical to scalar `f32` arithmetic, and
@@ -52,9 +54,41 @@
 
 #![allow(clippy::inline_always)] // rounding helpers must fuse into the k-loop
 
+use crate::int::Signedness;
+
 /// Columns per interleaved group — two AVX2 f32 vectors, matching the
 /// tiled path's register-block width `JR`.
 pub(crate) const GROUP: usize = 16;
+
+/// Codes per step of the integer kernel (one AVX2 vector of bytes);
+/// callers pad the reduction axis of both operands to a multiple of it.
+pub(crate) const INT_KSTEP: usize = 32;
+
+/// Bytes of rhs rows the integer tile walks per cache block.
+const INT_TILE_BYTES: usize = 24 << 10;
+
+/// Which operand of the integer kernel feeds `maddubs`' unsigned side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IntSides {
+    /// The lhs codes are unsigned (rhs either).
+    LhsUnsigned,
+    /// The rhs codes are unsigned, the lhs codes signed.
+    RhsUnsigned,
+    /// Both signed: `|rhs|` on the unsigned side, `lhs · sgn(rhs)` on the
+    /// signed one.
+    BothSigned,
+}
+
+impl IntSides {
+    /// The kernel sides for operands of the given signedness.
+    pub(crate) fn of(lhs: Signedness, rhs: Signedness) -> Self {
+        match (lhs, rhs) {
+            (Signedness::Unsigned, _) => IntSides::LhsUnsigned,
+            (Signedness::Signed, Signedness::Unsigned) => IntSides::RhsUnsigned,
+            (Signedness::Signed, Signedness::Signed) => IntSides::BothSigned,
+        }
+    }
+}
 
 /// Column groups the wide float kernels process per k sweep. Four groups
 /// give 8 concurrent add+round chains, enough to saturate the vector
@@ -66,9 +100,14 @@ pub(crate) const WIDE: usize = GROUP * WIDE_GROUPS;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{GROUP, WIDE, WIDE_GROUPS};
+    use super::{IntSides, GROUP, INT_KSTEP, INT_TILE_BYTES, WIDE, WIDE_GROUPS};
     use crate::gemm::fp16_round_sum;
     use std::arch::x86_64::*;
+
+    /// `IntSides` as const-generic tags for the integer kernel bodies.
+    const LHS_UNSIGNED: u8 = 0;
+    const RHS_UNSIGNED: u8 = 1;
+    const BOTH_SIGNED: u8 = 2;
 
     /// Lane-wise `fp16_round_sum_sel` (see `gemm`): DLFloat16 RNE with
     /// underflow-flush and saturation handled by selects on the raw bits.
@@ -201,46 +240,162 @@ mod avx2 {
         }
     }
 
+    /// Eight exact integer dot products — lhs rows `l[i]` against rhs
+    /// rows `r[j]`, in lane `2i + j` — over `kp` codes (a multiple of
+    /// [`INT_KSTEP`]). Per 32-code step, `maddubs` multiplies the unsigned
+    /// side's bytes by the signed side's and adds adjacent pairs into i16
+    /// lanes; `madd(·, 1)` widens the pairs into i32 lanes. When both
+    /// operands are signed, `|r|` goes on the unsigned side and
+    /// `sign(l, r)` (`l` negated where `r < 0`, zeroed where `r == 0`) on
+    /// the signed one: `|r| · l·sgn(r) == l · r`.
+    ///
+    /// A pair sum is at most `2 · 15 · 15 = 450 < i16::MAX` in magnitude
+    /// (the largest INT4/INT2 code magnitude is 15, unsigned INT4), so
+    /// `maddubs` never saturates. Every i32 operation wraps, and wrapping
+    /// addition is exact modulo 2³²; the caller bounds the whole dot by
+    /// `225 · k < 2³¹` (`dispatch::MADD_MAX_K`), so each result is exact.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2; `a.len() == b.len()`, with the caller's chunk guard
-    /// bounding `k` so the i32 lane accumulators cannot overflow.
+    /// Requires AVX2; every pointer must be valid for `kp` reads.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn int_madd(a: &[i8], b: &[i8]) -> i64 {
-        let k = a.len();
-        let mut acc = _mm256_setzero_si256();
+    unsafe fn int_block<const SIDES: u8>(
+        l: [*const i8; 4],
+        r: [*const i8; 2],
+        kp: usize,
+    ) -> __m256i {
+        let ones = _mm256_set1_epi16(1);
+        let mut acc = [_mm256_setzero_si256(); 8];
         let mut p = 0usize;
-        while p + 16 <= k {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(p).cast()));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(p).cast()));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-            p += 16;
+        while p < kp {
+            let mut lv = [_mm256_setzero_si256(); 4];
+            for i in 0..4 {
+                lv[i] = _mm256_loadu_si256(l[i].add(p).cast());
+            }
+            for j in 0..2 {
+                let rv = _mm256_loadu_si256(r[j].add(p).cast());
+                let ru = if SIDES == BOTH_SIGNED { _mm256_abs_epi8(rv) } else { rv };
+                for i in 0..4 {
+                    let pairs = match SIDES {
+                        LHS_UNSIGNED => _mm256_maddubs_epi16(lv[i], rv),
+                        RHS_UNSIGNED => _mm256_maddubs_epi16(rv, lv[i]),
+                        _ => _mm256_maddubs_epi16(ru, _mm256_sign_epi8(lv[i], rv)),
+                    };
+                    let wide = _mm256_madd_epi16(pairs, ones);
+                    acc[2 * i + j] = _mm256_add_epi32(acc[2 * i + j], wide);
+                }
+            }
+            p += INT_KSTEP;
         }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        let mut sum: i64 = lanes.iter().map(|&v| i64::from(v)).sum();
-        while p < k {
-            sum += i64::from(a[p]) * i64::from(b[p]);
-            p += 1;
-        }
-        sum
+        // One horizontal-add tree for all eight accumulators: two `hadd`
+        // rounds leave each 128-bit half holding four per-half sums, and
+        // adding the two halves gives the eight totals in order.
+        let h0 = _mm256_hadd_epi32(acc[0], acc[1]);
+        let h1 = _mm256_hadd_epi32(acc[2], acc[3]);
+        let h2 = _mm256_hadd_epi32(acc[4], acc[5]);
+        let h3 = _mm256_hadd_epi32(acc[6], acc[7]);
+        let g0 = _mm256_hadd_epi32(h0, h1);
+        let g1 = _mm256_hadd_epi32(h2, h3);
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(g0, g1),
+            _mm256_permute2x128_si256::<0x31>(g0, g1),
+        )
     }
 
-    /// Whole output row of madd dot products: one `#[target_feature]`
-    /// call per A row instead of per element, so [`int_madd`] inlines
-    /// into the column loop.
+    /// `out[i * ld + j] = dot(lhs row i, rhs row j) as f32 * out_scale`
+    /// for `rows × cols` outputs, in 4 × 2 register blocks. The rhs rows
+    /// are walked in blocks of about [`INT_TILE_BYTES`] so they stay in
+    /// cache while every lhs row quad passes over them. Ragged edges
+    /// repeat the last row into the block and drop the repeated results.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; `cbt.len() == orow.len() * arow.len()` and the
-    /// caller's chunk guard as in [`int_madd`].
+    /// Requires AVX2; `lhs.len() >= rows * kp`, `rhs.len() >= cols * kp`,
+    /// `kp` a multiple of [`INT_KSTEP`], `out.len() >= (rows - 1) * ld +
+    /// cols` when `rows > 0`, and [`int_block`]'s bound on the dot.
     #[target_feature(enable = "avx2")]
-    unsafe fn int_madd_rows(arow: &[i8], cbt: &[i8], out_scale: f32, orow: &mut [f32]) {
-        let k = arow.len();
-        for (j, o) in orow.iter_mut().enumerate() {
-            let dot = int_madd(arow, &cbt[j * k..(j + 1) * k]);
-            *o = dot as f32 * out_scale;
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn int_tile<const SIDES: u8>(
+        lhs: &[i8],
+        rows: usize,
+        rhs: &[i8],
+        cols: usize,
+        kp: usize,
+        out_scale: f32,
+        out: &mut [f32],
+        ld: usize,
+    ) {
+        let block = (INT_TILE_BYTES / kp.max(1)).max(2) & !1;
+        let scale = _mm256_set1_ps(out_scale);
+        for c0 in (0..cols).step_by(block) {
+            let c1 = (c0 + block).min(cols);
+            for r0 in (0..rows).step_by(4) {
+                let mut l = [lhs.as_ptr(); 4];
+                for (i, li) in l.iter_mut().enumerate() {
+                    *li = lhs.as_ptr().add((r0 + i).min(rows - 1) * kp);
+                }
+                for c in (c0..c1).step_by(2) {
+                    let r = [rhs.as_ptr().add(c * kp), rhs.as_ptr().add((c + 1).min(c1 - 1) * kp)];
+                    // `cvtepi32_ps` rounds to nearest even like `as f32`,
+                    // and `mul_ps` is the scalar f32 multiply.
+                    let sums = int_block::<SIDES>(l, r, kp);
+                    let vals = _mm256_mul_ps(_mm256_cvtepi32_ps(sums), scale);
+                    if r0 + 4 <= rows && c + 2 <= c1 {
+                        let lo = _mm256_castps256_ps128(vals);
+                        let hi = _mm256_extractf128_ps::<1>(vals);
+                        let o = out.as_mut_ptr().add(r0 * ld + c);
+                        _mm_storel_epi64(o.cast(), _mm_castps_si128(lo));
+                        _mm_storeh_pd(o.add(ld).cast(), _mm_castps_pd(lo));
+                        _mm_storel_epi64(o.add(2 * ld).cast(), _mm_castps_si128(hi));
+                        _mm_storeh_pd(o.add(3 * ld).cast(), _mm_castps_pd(hi));
+                    } else {
+                        let mut v = [0.0f32; 8];
+                        _mm256_storeu_ps(v.as_mut_ptr(), vals);
+                        for i in 0..(rows - r0).min(4) {
+                            for j in 0..(c1 - c).min(2) {
+                                out[(r0 + i) * ld + c + j] = v[2 * i + j];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Safe wrapper: the scaled `rows × cols` integer dot-product tile of
+    /// [`int_tile`] (`lhs` `[rows, kp]` and `rhs` `[cols, kp]` row-major,
+    /// output rows `ld` apart).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn int_dot_tile(
+        sides: IntSides,
+        lhs: &[i8],
+        rows: usize,
+        rhs: &[i8],
+        cols: usize,
+        kp: usize,
+        out_scale: f32,
+        out: &mut [f32],
+        ld: usize,
+    ) {
+        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
+        assert!(kp.is_multiple_of(INT_KSTEP), "reduction depth {kp} not padded to {INT_KSTEP}");
+        assert!(lhs.len() >= rows * kp && rhs.len() >= cols * kp, "operand shorter than its rows");
+        assert!(rows == 0 || (cols <= ld && out.len() >= (rows - 1) * ld + cols));
+        // SAFETY: AVX2 presence and slice extents asserted above; the
+        // dot bound is the caller's `MADD_MAX_K` dispatch contract.
+        unsafe {
+            match sides {
+                IntSides::LhsUnsigned => {
+                    int_tile::<LHS_UNSIGNED>(lhs, rows, rhs, cols, kp, out_scale, out, ld);
+                }
+                IntSides::RhsUnsigned => {
+                    int_tile::<RHS_UNSIGNED>(lhs, rows, rhs, cols, kp, out_scale, out, ld);
+                }
+                IntSides::BothSigned => {
+                    int_tile::<BOTH_SIGNED>(lhs, rows, rhs, cols, kp, out_scale, out, ld);
+                }
+            }
         }
     }
 
@@ -283,35 +438,14 @@ mod avx2 {
         // SAFETY: AVX2 presence and slice extents asserted above.
         unsafe { fp16_groups::<1>(arow, bgroup, chunk_len, out) }
     }
-
-    /// Safe wrapper: exact whole-k integer dot product over i8 codes
-    /// (test-only pin for the row-level kernel).
-    #[cfg(test)]
-    pub(crate) fn dot_int_madd(a: &[i8], b: &[i8]) -> i64 {
-        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
-        assert_eq!(a.len(), b.len());
-        // SAFETY: AVX2 presence and slice extents asserted above.
-        unsafe { int_madd(a, b) }
-    }
-
-    /// Safe wrapper: one full output row of scaled madd dot products
-    /// (`orow[j] = dot(arow, cbt[j]) * out_scale`).
-    pub(crate) fn dot_int_madd_rows(arow: &[i8], cbt: &[i8], out_scale: f32, orow: &mut [f32]) {
-        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
-        assert_eq!(cbt.len(), orow.len() * arow.len());
-        // SAFETY: AVX2 presence and slice extents asserted above.
-        unsafe { int_madd_rows(arow, cbt, out_scale, orow) }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::{dot_fp16_group16, dot_fp16_groups_wide, dot_int_madd_rows};
-#[cfg(all(test, target_arch = "x86_64"))]
-pub(crate) use avx2::dot_int_madd;
+pub(crate) use avx2::{dot_fp16_group16, dot_fp16_groups_wide, int_dot_tile};
 
 #[cfg(not(target_arch = "x86_64"))]
 mod fallback {
-    use super::{GROUP, WIDE};
+    use super::{IntSides, GROUP, WIDE};
 
     /// Unreachable on this target: the dispatcher reports
     /// `simd_available() == false` and never selects the AVX2 kernels.
@@ -335,13 +469,24 @@ mod fallback {
     }
 
     /// Unreachable on this target (see [`dot_fp16_groups_wide`]).
-    pub(crate) fn dot_int_madd_rows(_arow: &[i8], _cbt: &[i8], _out_scale: f32, _orow: &mut [f32]) {
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn int_dot_tile(
+        _sides: IntSides,
+        _lhs: &[i8],
+        _rows: usize,
+        _rhs: &[i8],
+        _cols: usize,
+        _kp: usize,
+        _out_scale: f32,
+        _out: &mut [f32],
+        _ld: usize,
+    ) {
         unreachable!("SIMD kernel selected on a non-x86_64 target");
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) use fallback::{dot_fp16_group16, dot_fp16_groups_wide, dot_int_madd_rows};
+pub(crate) use fallback::{dot_fp16_group16, dot_fp16_groups_wide, int_dot_tile};
 
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
@@ -398,34 +543,85 @@ mod tests {
         }
     }
 
+    /// Codes in `lo..=hi` from a fixed stride pattern, with every fifth
+    /// one zero.
+    fn codes(len: usize, (lo, hi): (i32, i32), salt: usize) -> Vec<i8> {
+        let span = (hi - lo + 1) as usize;
+        (0..len)
+            .map(|i| {
+                if (i + salt).is_multiple_of(5) {
+                    0
+                } else {
+                    (lo + ((i * 7 + salt * 13) % span) as i32) as i8
+                }
+            })
+            .collect()
+    }
+
+    /// Every kernel side (unsigned lhs, unsigned rhs, the sign trick for
+    /// both signed) agrees with a plain i64 dot product at the extreme
+    /// codes of each signedness, over depths of 0 to 5 steps and ragged
+    /// row and column counts that exercise the repeated-edge blocks.
     #[test]
-    fn int_madd_matches_reference() {
+    fn int_tile_matches_reference_for_every_side() {
         if !crate::dispatch::simd_available() {
             return;
         }
-        for k in [0usize, 1, 15, 16, 17, 31, 32, 100, 257] {
-            let a: Vec<i8> = (0..k).map(|i| ((i * 7 + 3) % 31) as i8 - 15).collect();
-            let b: Vec<i8> = (0..k).map(|i| ((i * 13 + 5) % 31) as i8 - 15).collect();
-            let want: i64 = a.iter().zip(&b).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum();
-            assert_eq!(dot_int_madd(&a, &b), want, "k={k}");
+        let signed = (-7, 7);
+        let unsigned = (0, 15);
+        for (sl, sr, lr, rr) in [
+            (Signedness::Unsigned, Signedness::Signed, unsigned, signed),
+            (Signedness::Unsigned, Signedness::Unsigned, unsigned, unsigned),
+            (Signedness::Signed, Signedness::Unsigned, signed, unsigned),
+            (Signedness::Signed, Signedness::Signed, signed, signed),
+        ] {
+            for kp in [0usize, 32, 64, 160] {
+                for (rows, cols) in [(1usize, 1usize), (3, 5), (4, 2), (9, 7)] {
+                    let lhs = codes(rows * kp, lr, 1);
+                    let rhs = codes(cols * kp, rr, 2);
+                    let ld = cols + 3;
+                    let mut out = vec![f32::NAN; rows * ld];
+                    let scale = 0.375f32;
+                    let sides = IntSides::of(sl, sr);
+                    int_dot_tile(sides, &lhs, rows, &rhs, cols, kp, scale, &mut out, ld);
+                    for i in 0..rows {
+                        for j in 0..cols {
+                            let want: i64 = (0..kp)
+                                .map(|p| i64::from(lhs[i * kp + p]) * i64::from(rhs[j * kp + p]))
+                                .sum();
+                            let got = out[i * ld + j];
+                            let want = want as f32 * scale;
+                            let at = format!("{sl:?}×{sr:?} kp {kp} ({i},{j})");
+                            assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                        }
+                        assert!(out[i * ld + cols].is_nan(), "wrote past the tile's columns");
+                    }
+                }
+            }
         }
     }
 
-    /// The row-level madd kernel must agree with per-element calls.
+    /// The largest magnitudes every side can see, at full depth: the
+    /// pair sums stay inside i16 and the totals match exactly.
     #[test]
-    fn int_madd_rows_matches_single() {
+    fn int_tile_extreme_codes_do_not_saturate() {
         if !crate::dispatch::simd_available() {
             return;
         }
-        let (k, n) = (37usize, 9usize);
-        let a: Vec<i8> = (0..k).map(|i| ((i * 11 + 2) % 15) as i8 - 7).collect();
-        let bt: Vec<i8> = (0..k * n).map(|i| ((i * 5 + 1) % 15) as i8 - 7).collect();
-        let scale = 0.125f32;
-        let mut rows = vec![0.0f32; n];
-        dot_int_madd_rows(&a, &bt, scale, &mut rows);
-        for j in 0..n {
-            let want = dot_int_madd(&a, &bt[j * k..(j + 1) * k]) as f32 * scale;
-            assert_eq!(rows[j].to_bits(), want.to_bits(), "column {j}");
+        let kp = 4096;
+        for (sides, l, r) in [
+            (IntSides::LhsUnsigned, 15i8, 15i8),
+            (IntSides::LhsUnsigned, 15, -7),
+            (IntSides::RhsUnsigned, -7, 15),
+            (IntSides::BothSigned, -7, -7),
+            (IntSides::BothSigned, 7, -7),
+        ] {
+            let lhs = vec![l; 4 * kp];
+            let rhs = vec![r; 2 * kp];
+            let mut out = vec![0.0f32; 8];
+            int_dot_tile(sides, &lhs, 4, &rhs, 2, kp, 1.0, &mut out, 2);
+            let want = (i64::from(l) * i64::from(r) * kp as i64) as f32;
+            assert!(out.iter().all(|&o| o == want), "{sides:?}: {out:?} vs {want}");
         }
     }
 }

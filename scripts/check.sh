@@ -120,6 +120,11 @@ simd_gate() {
     cargo build --release -p rapid-bench --bin kernel_speed
     RAPID_SIMD=force cargo test --release -p rapid-numerics --test fastpath_bitexact -q
     RAPID_SIMD=off cargo test --release -p rapid-numerics --test fastpath_bitexact -q
+    echo "== code-domain INT conv proptest at 1024 cases under RAPID_SIMD=force and =off =="
+    for mode in force off; do
+        PROPTEST_CASES=1024 RAPID_SIMD=$mode cargo test --release -p rapid-numerics \
+            --test fastpath_bitexact -q int_conv_code_domain_bit_exact
+    done
     echo "== kernel_speed --smoke (hard 120s timeout; asserts bit-exactness inline) =="
     timeout 120 ./target/release/kernel_speed --smoke
 }
